@@ -33,13 +33,8 @@ const model::NodeSet& paper_nodes() {
   return nodes;
 }
 
-// Hot-path engine for every simulated cell (set once from --hotpath=NAME;
-// cannot change the printed tables).
-sim::HotpathEngine g_hotpath = sim::HotpathEngine::kOptimized;
-
 proto::SimConfig base_cfg(double duration) {
   proto::SimConfig cfg;
-  cfg.hotpath_engine = g_hotpath;
   cfg.sigma = 0.5;
   cfg.duration = duration;
   cfg.warmup = duration / 3.0;
@@ -52,9 +47,7 @@ proto::SimConfig base_cfg(double duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const long scale = bench::knob(argc, argv, 3);
-  g_hotpath = bench::hotpath_flag(argc, argv);
-  bench::kernels_flag(argc, argv);
+  const long scale = bench::Args(argc, argv).knob(3);
   const double dur = 1e6 * static_cast<double>(scale);
   bench::banner("Ablations", "design-choice sweeps (N=5, rho=10uW, L=X=500uW)");
   const double t_star = oracle::groupput(paper_nodes()).throughput;

@@ -8,20 +8,18 @@
 #ifndef ECONCAST_BENCH_BENCH_COMMON_H
 #define ECONCAST_BENCH_BENCH_COMMON_H
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "runner/scenario_runner.h"
 #include "runner/sweep_session.h"
-#include "sim/event_queue.h"
-#include "sim/hotpath.h"
-#include "util/kernels.h"
 
 namespace econcast::bench {
 
@@ -33,117 +31,91 @@ inline void banner(const char* experiment, const char* description) {
   std::printf("================================================================\n");
 }
 
-/// Reads an integer knob from argv ("--samples=N" style positional override)
-/// falling back to `def`. Benches accept a single optional positional arg to
-/// scale their workload; "--flag" arguments are skipped.
-inline long knob(int argc, char** argv, long def) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] == '-') continue;
-    const long v = std::atol(argv[i]);
-    return v > 0 ? v : def;
-  }
-  return def;
-}
-
-/// Reads a "--name=value" string flag from argv. Only the '=' form is
-/// supported so flag values can never be mistaken for the positional
-/// workload knob (and vice versa).
-inline std::string flag(int argc, char** argv, const char* name,
-                        const std::string& def = "") {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return std::string(argv[i] + len + 1);
-  }
-  return def;
-}
-
-/// Reads the event-queue backend from "--engine=binary-heap|calendar"
-/// (default: the reference heap). Backends cannot change the printed
-/// tables — pop order is a strict total order on (time, seq) — so this
-/// flag only trades wall-clock time, and CI diffs the tables across
-/// engines to prove it.
-inline sim::QueueEngine engine_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    // Benches only take '='-form flags; catch the space form instead of
-    // silently benchmarking the default backend.
-    if (std::strcmp(argv[i], "--engine") == 0) {
-      std::fprintf(stderr, "use --engine=NAME (flags take the '=' form)\n");
-      std::exit(2);
+/// A bench's command line: at most one positional workload knob (a
+/// positive decimal integer) plus the flags the bench declares — "--name="
+/// for a flag that takes a value (only the '=' form, so a value can never
+/// be mistaken for the knob), "--name" for a bare switch. Anything else —
+/// junk or a second positional, an undeclared flag, a declared flag in the
+/// wrong form — exits 2 naming the token, so a typo never silently runs the
+/// default workload. Every bench accepts the knob (benches with a fixed
+/// workload ignore it), so one smoke loop can drive them all.
+class Args {
+ public:
+  Args(int argc, char** argv, std::vector<std::string> flags = {})
+      : flags_(std::move(flags)) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.empty() || arg[0] != '-') {
+        if (have_knob_ || !parse_knob(arg))
+          fail(argv[0], arg, have_knob_ ? "unexpected extra argument"
+                                        : "the workload knob must be a "
+                                          "positive integer");
+        have_knob_ = true;
+        continue;
+      }
+      if (!declared(arg)) fail(argv[0], arg, "unknown option");
+      given_.push_back(arg);
     }
   }
-  const std::string token = flag(argc, argv, "--engine", "binary-heap");
-  try {
-    return sim::queue_engine_from_token(token);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
+
+  /// The positional knob, or `def` when none was given.
+  long knob(long def) const { return have_knob_ ? knob_ : def; }
+
+  /// The value of the declared "--name=value" flag `name` (spelled without
+  /// the '='), or `def` when absent.
+  std::string value(const std::string& name,
+                    const std::string& def = "") const {
+    const std::string prefix = name + "=";
+    for (const std::string& arg : given_)
+      if (arg.compare(0, prefix.size(), prefix) == 0)
+        return arg.substr(prefix.size());
+    return def;
+  }
+
+  /// True when the declared bare switch `name` was given.
+  bool has(const std::string& name) const {
+    for (const std::string& arg : given_)
+      if (arg == name) return true;
+    return false;
+  }
+
+ private:
+  bool declared(const std::string& arg) const {
+    for (const std::string& f : flags_) {
+      const bool takes_value = !f.empty() && f.back() == '=';
+      if (takes_value ? arg.compare(0, f.size(), f) == 0 : arg == f)
+        return true;
+    }
+    return false;
+  }
+
+  bool parse_knob(const std::string& arg) {
+    if (arg.empty() || arg.find_first_not_of("0123456789") != std::string::npos)
+      return false;
+    errno = 0;
+    const long v = std::strtol(arg.c_str(), nullptr, 10);
+    if (errno == ERANGE || v <= 0) return false;
+    knob_ = v;
+    return true;
+  }
+
+  [[noreturn]] static void fail(const char* argv0, const std::string& arg,
+                                const char* why) {
+    std::fprintf(stderr, "%s: %s: '%s'\n", argv0, why, arg.c_str());
     std::exit(2);
   }
-}
 
-/// True when the bare flag `name` appears anywhere in argv.
-inline bool bool_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
-}
-
-/// Reads the simulator hot-path engine from "--hotpath=reference|optimized"
-/// (default: optimized). Same contract as --engine: the engines produce
-/// byte-identical tables — the optimized path only adds O(1) listener
-/// counting and rate-exponential memoization on top of the same RNG stream —
-/// so this flag trades wall-clock time only, and CI diffs the tables across
-/// engines to prove it.
-inline sim::HotpathEngine hotpath_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--hotpath") == 0) {
-      std::fprintf(stderr, "use --hotpath=NAME (flags take the '=' form)\n");
-      std::exit(2);
-    }
-  }
-  const std::string token = flag(argc, argv, "--hotpath", "optimized");
-  try {
-    return sim::hotpath_engine_from_token(token);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    std::exit(2);
-  }
-}
-
-/// Applies the micro-kernel tier from "--kernels=scalar|avx2" (default: the
-/// cpuid-selected tier, same as the ECONCAST_KERNELS env override). Tiers
-/// are proven bit-identical by the differential tests, so — like --engine
-/// and --hotpath — this flag trades wall-clock time only and CI diffs the
-/// tables across tiers to prove it.
-inline void kernels_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--kernels") == 0) {
-      std::fprintf(stderr, "use --kernels=NAME (flags take the '=' form)\n");
-      std::exit(2);
-    }
-  }
-  const std::string token = flag(argc, argv, "--kernels");
-  try {
-    if (token.empty()) {
-      // No flag: force the first-use ECONCAST_KERNELS/cpuid resolution now,
-      // so a bad env value is a clean startup error instead of an uncaught
-      // throw mid-sweep.
-      util::active_kernel_tier();
-      return;
-    }
-    util::set_kernel_tier(util::kernel_tier_from_token(token));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "--kernels: %s\n", e.what());
-    std::exit(2);
-  }
-}
+  std::vector<std::string> flags_;
+  std::vector<std::string> given_;
+  long knob_ = 0;
+  bool have_knob_ = false;
+};
 
 /// Directory the sweep-shaped benches write manifests/results into:
-/// --manifest-dir=DIR if given, else <temp>/<default_name>. Created on
-/// demand.
-inline std::string manifest_dir(int argc, char** argv,
-                                const char* default_name) {
-  std::string dir = flag(argc, argv, "--manifest-dir");
+/// --manifest-dir=DIR if given (declare "--manifest-dir=" in the bench's
+/// Args), else <temp>/<default_name>. Created on demand.
+inline std::string manifest_dir(const Args& args, const char* default_name) {
+  std::string dir = args.value("--manifest-dir");
   if (dir.empty())
     dir = (std::filesystem::temp_directory_path() / default_name).string();
   std::filesystem::create_directories(dir);

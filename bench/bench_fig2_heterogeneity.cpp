@@ -28,7 +28,8 @@
 
 int main(int argc, char** argv) {
   using namespace econcast;
-  const long samples = bench::knob(argc, argv, 300);
+  const bench::Args args(argc, argv, {"--manifest-dir="});
+  const long samples = args.knob(300);
   bench::banner("Figure 2", "T^sigma/T* vs heterogeneity h (N=5)");
   std::printf("samples per point: %ld (paper: 1000)\n\n", samples);
 
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
   const std::vector<double> sigmas{0.1, 0.25, 0.5};
   const std::vector<model::Mode> modes{model::Mode::kGroupput,
                                        model::Mode::kAnyput};
-  const std::string dir = bench::manifest_dir(argc, argv, "econcast-fig2");
+  const std::string dir = bench::manifest_dir(args, "econcast-fig2");
 
   const runner::SweepSpec sweep =
       runner::SweepSpec("fig2")

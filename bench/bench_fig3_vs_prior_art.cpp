@@ -22,6 +22,8 @@
 
 int main(int argc, char** argv) {
   using namespace econcast;
+  // The workload is fixed; the positional knob is accepted and ignored.
+  const bench::Args args(argc, argv, {"--manifest-dir="});
   bench::banner("Figure 3", "T^sigma/T* vs X/L, with prior art (N=5, rho=10uW)");
 
   constexpr double kBudget = 10.0;    // µW
@@ -30,7 +32,7 @@ int main(int argc, char** argv) {
                                    3.0 / 2, 7.0 / 3, 4.0,     9.0};
   const std::vector<double> sigmas{0.1, 0.25, 0.5};
   const auto powers = runner::power_ratio_axis(ratios, kBudget, kTotal);
-  const std::string dir = bench::manifest_dir(argc, argv, "econcast-fig3");
+  const std::string dir = bench::manifest_dir(args, "econcast-fig3");
 
   // Panel (a): groupput, including baselines. Protocol axis order:
   // 0 = EconCast achievable (σ from the sigma axis), 1..3 = baselines

@@ -23,8 +23,7 @@ namespace {
 using namespace econcast;
 
 runner::Scenario marker_scenario(std::size_t n, model::Mode mode, double sigma,
-                                 double duration, sim::QueueEngine engine,
-                                 sim::HotpathEngine hotpath) {
+                                 double duration) {
   const auto nodes = model::homogeneous(n, 10.0, 500.0, 500.0);
   const auto p4 = gibbs::solve_p4(nodes, mode, sigma);
   proto::SimConfig cfg;
@@ -34,8 +33,6 @@ runner::Scenario marker_scenario(std::size_t n, model::Mode mode, double sigma,
   cfg.warmup = duration * 0.1;
   cfg.adapt_multiplier = false;  // markers at the converged operating point
   cfg.eta_init = p4.eta;
-  cfg.queue_engine = engine;
-  cfg.hotpath_engine = hotpath;
   return runner::econcast_scenario("fig4", nodes, model::Topology::clique(n),
                                    cfg);
 }
@@ -44,10 +41,8 @@ runner::Scenario marker_scenario(std::size_t n, model::Mode mode, double sigma,
 
 int main(int argc, char** argv) {
   using namespace econcast;
-  const long scale = bench::knob(argc, argv, 4);  // sim duration = scale * 1e6
-  const sim::QueueEngine engine = bench::engine_flag(argc, argv);
-  const sim::HotpathEngine hotpath = bench::hotpath_flag(argc, argv);
-  bench::kernels_flag(argc, argv);
+  // sim duration = scale * 1e6
+  const long scale = bench::Args(argc, argv).knob(4);
   bench::banner("Figure 4", "average burst length vs sigma (rho=10uW, L=X=500uW)");
 
   const double marker_sigmas[] = {0.25, 0.5};
@@ -59,8 +54,7 @@ int main(int argc, char** argv) {
   for (const model::Mode mode : {model::Mode::kGroupput, model::Mode::kAnyput}) {
     for (const double sigma : marker_sigmas) {
       for (const std::size_t n : marker_sizes) {
-        batch.push_back(
-            marker_scenario(n, mode, sigma, duration, engine, hotpath));
+        batch.push_back(marker_scenario(n, mode, sigma, duration));
       }
     }
   }

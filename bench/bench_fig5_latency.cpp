@@ -20,10 +20,8 @@
 
 int main(int argc, char** argv) {
   using namespace econcast;
-  const long scale = bench::knob(argc, argv, 8);  // duration = scale * 1e6
-  const sim::QueueEngine engine = bench::engine_flag(argc, argv);
-  const sim::HotpathEngine hotpath = bench::hotpath_flag(argc, argv);
-  bench::kernels_flag(argc, argv);
+  // duration = scale * 1e6
+  const long scale = bench::Args(argc, argv).knob(8);
   bench::banner("Figure 5", "latency CDF / mean / p99 (rho=10uW, L=X=500uW)");
 
   baselines::SearchlightConfig sc;
@@ -53,8 +51,6 @@ int main(int argc, char** argv) {
         cfg.seed = 55;
         cfg.adapt_multiplier = false;
         cfg.eta_init = p4.eta;
-        cfg.queue_engine = engine;
-        cfg.hotpath_engine = hotpath;
         batch.push_back(runner::econcast_scenario(
             "fig5", nodes, model::Topology::clique(n), cfg));
       }

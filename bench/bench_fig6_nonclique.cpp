@@ -28,19 +28,17 @@
 
 int main(int argc, char** argv) {
   using namespace econcast;
-  const long scale = bench::knob(argc, argv, 2);  // duration = scale * 1e6
-  const sim::QueueEngine engine = bench::engine_flag(argc, argv);
-  const sim::HotpathEngine hotpath = bench::hotpath_flag(argc, argv);
-  bench::kernels_flag(argc, argv);
+  const bench::Args args(argc, argv, {"--manifest-dir=", "--n256"});
+  const long scale = args.knob(2);  // duration = scale * 1e6
   // --n256 appends a 16x16 grid row (N=256) — off by default so the standard
   // table stays byte-identical to earlier builds.
-  const bool n256 = bench::bool_flag(argc, argv, "--n256");
+  const bool n256 = args.has("--n256");
   bench::banner("Figure 6", "grid topologies: oracle T*_nc and simulated T~ (rho=10uW)");
 
   std::vector<std::size_t> ks{2, 3, 4, 5, 6, 7, 8, 9, 10};
   if (n256) ks.push_back(16);
   const std::vector<double> sigmas{0.25, 0.5, 0.75};
-  const std::string dir = bench::manifest_dir(argc, argv, "econcast-fig6");
+  const std::string dir = bench::manifest_dir(args, "econcast-fig6");
 
   // One session per manifest, all sessions concurrent: each gets a private
   // executor sized to its σ cells, so the 27 simulations overlap across
@@ -64,8 +62,6 @@ int main(int argc, char** argv) {
         cfg.seed = 66 + n;
         cfg.energy_guard = true;  // adaptive start from eta = 0
         cfg.initial_energy = 5e5;
-        cfg.queue_engine = engine;  // cannot change the table, only the clock
-        cfg.hotpath_engine = hotpath;  // likewise
         const std::string name = "fig6-N" + std::to_string(n);
         const runner::SweepSpec sweep =
             runner::SweepSpec(name)

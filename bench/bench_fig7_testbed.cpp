@@ -14,9 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace econcast;
-  const long hours = bench::knob(argc, argv, 12);
-  const sim::QueueEngine engine = bench::engine_flag(argc, argv);
-  bench::kernels_flag(argc, argv);
+  const long hours = bench::Args(argc, argv).knob(12);
   bench::banner("Figure 7", "testbed emulation: ideal/relaxed ratios + battery variance");
   std::printf("emulated duration per point: %ld h (paper: up to 24 h)\n\n",
               hours);
@@ -33,7 +31,6 @@ int main(int argc, char** argv) {
         cfg.duration_ms = static_cast<double>(hours) * 3600e3;
         cfg.warmup_ms = cfg.duration_ms / 3.0;
         cfg.seed = 1000 + n * 10 + static_cast<std::uint64_t>(rho);
-        cfg.queue_engine = engine;
         const auto r = testbed::run_testbed(cfg);
 
         const auto nodes = model::homogeneous(

@@ -13,9 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace econcast;
-  const long scale = bench::knob(argc, argv, 6);
-  const sim::HotpathEngine hotpath = bench::hotpath_flag(argc, argv);
-  bench::kernels_flag(argc, argv);
+  const long scale = bench::Args(argc, argv).knob(6);
   bench::banner("Sim-vs-analytic", "T~^sigma vs T^sigma (N=5, rho=10uW, L=X=500uW)");
 
   const auto nodes = model::homogeneous(5, 10.0, 500.0, 500.0);
@@ -32,7 +30,6 @@ int main(int argc, char** argv) {
       cfg.seed = 2016;
       cfg.energy_guard = true;   // physical storage with a small pre-charge:
       cfg.initial_energy = 5e5;  // steady state matches the unbounded model
-      cfg.hotpath_engine = hotpath;
       proto::Simulation sim(nodes, model::Topology::clique(5), cfg);
       const auto r = sim.run();
       const double measured =

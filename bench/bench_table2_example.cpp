@@ -9,8 +9,10 @@
 #include "oracle/clique_oracle.h"
 #include "util/table.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace econcast;
+  // The workload is fixed; the positional knob is accepted and ignored.
+  (void)bench::Args(argc, argv);
   bench::banner("Table II", "optimal time partitioning, 4 heterogeneous nodes");
 
   model::NodeSet nodes{{0.005, 1.0, 1.0},

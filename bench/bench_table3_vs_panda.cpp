@@ -22,13 +22,12 @@
 
 int main(int argc, char** argv) {
   using namespace econcast;
-  const long hours = bench::knob(argc, argv, 12);
+  const bench::Args args(argc, argv, {"--manifest-dir="});
+  const long hours = args.knob(12);
   bench::banner("Table III", "testbed EconCast-C vs analytical Panda (sigma=0.25)");
 
   const testbed::Ez430Constants hw;  // mW units throughout this table
   protocol::TestbedParams testbed;
-  testbed.queue_engine = bench::engine_flag(argc, argv);
-  bench::kernels_flag(argc, argv);
   testbed.sigma = 0.25;
   testbed.duration_ms = static_cast<double>(hours) * 3600e3;
   testbed.warmup_ms = testbed.duration_ms / 3.0;
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
           .node_counts(node_counts)
           .powers(powers)
           .sigmas({0.25});
-  const std::string dir = bench::manifest_dir(argc, argv, "econcast-table3");
+  const std::string dir = bench::manifest_dir(args, "econcast-table3");
   const runner::BatchResult run =
       bench::run_manifest_sweep(dir, "table3", sweep, /*base_seed=*/300);
 

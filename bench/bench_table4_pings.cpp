@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace econcast;
-  const long hours = bench::knob(argc, argv, 12);
+  const long hours = bench::Args(argc, argv).knob(12);
   bench::banner("Table IV", "pings received per packet (N=5, sigma=0.25)");
 
   util::Table t({"rho mW", "0", "1", "2", "3", "4"});

@@ -59,21 +59,6 @@ PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
                                        double listen_window, double duration,
                                        std::uint64_t seed);
 
-struct PandaSimResult {
-  double groupput = 0.0;
-  double avg_power = 0.0;       // mean over nodes
-  std::uint64_t packets = 0;
-  std::uint64_t receptions = 0;
-};
-
-/// Deprecated shim over simulate_panda_detailed (same RNG stream, so results
-/// are bit-identical to the seed version). Prefer the "panda" entry of
-/// protocol::ProtocolRegistry for new code.
-PandaSimResult simulate_panda(std::size_t n, double wake_rate,
-                              double listen_window, double listen_power,
-                              double transmit_power, double duration,
-                              std::uint64_t seed);
-
 }  // namespace econcast::baselines
 
 #endif  // ECONCAST_BASELINES_PANDA_H

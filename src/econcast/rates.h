@@ -44,7 +44,7 @@ class RateController {
 
   /// Fills row[c] = listen_to_transmit(eta, c, /*channel_idle=*/true) for
   /// every count c in [0, width) — the eager batch refill behind the
-  /// optimized hot path's rate memo. The count-invariant exponent term is
+  /// simulator's rate memo. The count-invariant exponent term is
   /// hoisted out of the loop and the count-independent variants collapse to
   /// one or two exp() calls, but every entry is produced by the exact
   /// expression the per-call path evaluates, so the row is bit-identical to

@@ -10,9 +10,11 @@
 //
 // Hot-path layout: the per-node fields the inner loops touch on every event
 // (state, state_since, the η mirror, the energy balance) live in parallel
-// arrays backed by a per-scenario bump arena, not in the per-node struct —
-// see SimConfig::hotpath_engine for the reference/optimized knob and the
-// determinism guarantee.
+// arrays backed by a per-scenario bump arena, not in the per-node struct.
+// Listener counts come from the channel's incrementally maintained per-node
+// counts, and the rate exponentials are memoized between η updates; the
+// memo entries are produced by the exact RateController expressions, so
+// caching never changes a result bit.
 #ifndef ECONCAST_ECONCAST_SIMULATION_H
 #define ECONCAST_ECONCAST_SIMULATION_H
 
@@ -29,7 +31,6 @@
 #include "sim/channel.h"
 #include "sim/energy.h"
 #include "sim/event_queue.h"
-#include "sim/hotpath.h"
 #include "sim/metrics.h"
 #include "sim/node_id.h"
 #include "util/stats.h"
@@ -60,39 +61,6 @@ struct SimConfig {
   double warmup = 0.0;     // metrics discarded before this time
   std::uint64_t seed = 1;
   double initial_energy = 0.0;
-
-  /// Event-queue backend. kBinaryHeap is the reference; kCalendar is the
-  /// O(1)-amortized bucket queue for large N. The backend can never change
-  /// results — pop order is a strict total order on (time, seq) — so this
-  /// knob trades only wall-clock time.
-  sim::QueueEngine queue_engine = sim::QueueEngine::kBinaryHeap;
-
-  /// Report the event-queue instrumentation counters through
-  /// protocol::SimResult::extras ("queue_pushes", "queue_pops",
-  /// "queue_stale_drops", "queue_peak_live"). Off by default so existing
-  /// outputs are byte-identical. The counters themselves are
-  /// backend-independent (staleness is resolved in pop order), so enabling
-  /// this still cannot make outputs differ across engines.
-  bool report_queue_stats = false;
-
-  /// Hot-path engine. kOptimized answers listener-count queries from the
-  /// channel's incrementally maintained per-node counts and memoizes the
-  /// rate exponentials between η updates; kReference recomputes both the
-  /// O(degree) scan and the exponentials on every query — the pre-overhaul
-  /// hot path, kept selectable as the oracle the optimized path is
-  /// differentially tested against. Neither choice can change results: the
-  /// cached values are produced by the exact same expressions the reference
-  /// path evaluates, and the RNG stream is untouched. Only wall clock
-  /// differs.
-  sim::HotpathEngine hotpath_engine = sim::HotpathEngine::kOptimized;
-
-  /// Report the hot-path instrumentation counters through
-  /// protocol::SimResult::extras ("hotpath_listener_queries",
-  /// "hotpath_listener_scans", "hotpath_listen_toggles",
-  /// "hotpath_toggle_drains", "hotpath_arena_bytes",
-  /// "hotpath_arena_chunks"). Off by default, mirroring
-  /// report_queue_stats.
-  bool report_hotpath_stats = false;
 
   /// Physical-storage guard (off by default to match the paper's idealized
   /// §VII model, where b(t) is unbounded). When enabled, a node whose
@@ -137,14 +105,8 @@ struct SimResult {
   std::uint64_t events_processed = 0;
 
   /// Event-queue instrumentation (always collected — it is a handful of
-  /// counters); surfaced into protocol extras only when
-  /// SimConfig::report_queue_stats is set.
+  /// counters). Never part of protocol results.
   sim::QueueStats queue_stats;
-
-  /// Hot-path instrumentation (always collected, like queue_stats);
-  /// surfaced into protocol extras only when
-  /// SimConfig::report_hotpath_stats is set.
-  sim::HotpathStats hotpath_stats;
 
   /// Normalized time-in-state (indexed by model::state_index); empty unless
   /// track_state_occupancy was set.
@@ -200,11 +162,10 @@ class Simulation {
   int observed_listeners(sim::NodeId i) const;
 
   // Rate evaluation. λ_sl and λ_lx are exponentials of expressions that only
-  // change when η or the listener count changes; under the optimized engine
-  // they are served from per-node memos refreshed on η updates. The memo
-  // entries are produced by the exact same RateController expressions the
-  // reference engine evaluates inline, so both engines return bit-equal
-  // rates.
+  // change when η or the listener count changes, so they are served from
+  // per-node memos refreshed on η updates. The memo entries are produced by
+  // the exact RateController expressions a per-call evaluation would use,
+  // so the memoized rates are bit-equal to recomputed ones.
   void refresh_eta(sim::NodeId i);
   double wake_rate(sim::NodeId i, bool idle);
   double listen_tx_rate(sim::NodeId i, bool idle);
@@ -245,9 +206,7 @@ class Simulation {
 
   sim::ArenaVector<std::uint8_t> burst_rx_flag_;  // receivers of current burst
   sim::ArenaVector<sim::NodeId> burst_rx_list_;
-  sim::ArenaVector<sim::NodeId> toggled_scratch_;  // filter_state_not output
   std::uint64_t events_processed_ = 0;
-  bool opt_ = true;  // hotpath_engine == kOptimized
 
   // Occupancy tracker state.
   std::vector<double> occupancy_;

@@ -126,7 +126,7 @@ ShardPlan pin_plan(const std::string& manifest_path, const ShardPlan& plan) {
     // disk) unchanged for the common case.
     json::Array bounds;
     for (const std::size_t b : plan.bounds())
-      bounds.push_back(static_cast<double>(b));
+      bounds.emplace_back(static_cast<double>(b));
     o.set("bounds", json::Value(std::move(bounds)));
   }
   // Temp file + rename: a reader never sees a half-written plan. The name

@@ -86,13 +86,8 @@ Worker::Outcome Worker::run() {
       touch_claim(claim_path, claim, p.done);
       if (options_.on_cell_done) options_.on_cell_done(p);
     };
-    runner::SweepManifest manifest = runner::load_manifest(manifest_path_);
-    if (!options_.queue_engine.empty())
-      manifest.queue_engine = options_.queue_engine;
-    if (!options_.hotpath_engine.empty())
-      manifest.hotpath_engine = options_.hotpath_engine;
-    runner::SweepSession session(std::move(manifest), out.results_path,
-                                 session_options);
+    runner::SweepSession session(runner::load_manifest(manifest_path_),
+                                 out.results_path, session_options);
     out.resumed = session.completed_cells();
     out.ran = session.run(options_.limit);
     out.shard_complete = session.complete();

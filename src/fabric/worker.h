@@ -36,16 +36,10 @@ class Worker {
     /// Forwarded per-cell hook (progress lines); invoked after the cell is
     /// checkpointed and the heartbeat is written.
     std::function<void(const runner::ScenarioProgress&)> on_cell_done;
-    /// Optional event-queue / hot-path engine overrides applied to the
-    /// loaded manifest (the `econcast_sweep --engine/--hotpath` knobs).
-    /// Results-neutral by contract, so mixed-engine workers on one sweep
-    /// still merge byte-identically. Validated at session construction.
-    std::string queue_engine;
-    std::string hotpath_engine;
     /// Result-cache directory shared across workers (and with plain
     /// `econcast_sweep --cache` runs); empty = no cache. Cached cells skip
-    /// execution, newly computed cells are published — results-neutral,
-    /// like the engines above. Enables cost-ordered submission within the
+    /// execution, newly computed cells are published — results-neutral by
+    /// contract. Enables cost-ordered submission within the
     /// shard (the cache's observed wall clocks calibrate the model).
     std::string cache_dir;
   };

@@ -20,34 +20,6 @@ namespace {
 
 // ---------------------------------------------------------------- helpers --
 
-/// Queue instrumentation -> extras, shared by the two discrete-event
-/// protocols (econcast and the testbed firmware). Opt-in per config so
-/// default outputs stay byte-identical; the counters are
-/// backend-independent, so enabling them still cannot make results differ
-/// across queue engines.
-void report_queue_stats(SimResult& out, const sim::QueueStats& stats) {
-  out.extras["queue_pushes"] = static_cast<double>(stats.pushes);
-  out.extras["queue_pops"] = static_cast<double>(stats.pops);
-  out.extras["queue_stale_drops"] = static_cast<double>(stats.stale_drops);
-  out.extras["queue_peak_live"] = static_cast<double>(stats.peak_live);
-}
-
-/// Hot-path instrumentation -> extras, opt-in like the queue counters. The
-/// query/toggle counters are engine-independent for identical trajectories;
-/// listener_scans distinguishes the engines (0 under kOptimized).
-void report_hotpath_stats(SimResult& out, const sim::HotpathStats& stats) {
-  out.extras["hotpath_listener_queries"] =
-      static_cast<double>(stats.listener_queries);
-  out.extras["hotpath_listener_scans"] =
-      static_cast<double>(stats.listener_scans);
-  out.extras["hotpath_listen_toggles"] =
-      static_cast<double>(stats.listen_toggles);
-  out.extras["hotpath_toggle_drains"] =
-      static_cast<double>(stats.toggle_drains);
-  out.extras["hotpath_arena_bytes"] = static_cast<double>(stats.arena_bytes);
-  out.extras["hotpath_arena_chunks"] = static_cast<double>(stats.arena_chunks);
-}
-
 void require_clique(const model::Topology& topology, const char* protocol) {
   if (!topology.is_clique())
     throw std::invalid_argument(std::string(protocol) +
@@ -112,12 +84,9 @@ class EconCastProtocol final : public Protocol {
                                 std::uint64_t seed) const override {
     proto::SimConfig config = params_.config;
     config.seed = seed;
-    const bool queue_stats = config.report_queue_stats;
-    const bool hotpath_stats = config.report_hotpath_stats;
     return std::make_unique<LambdaSim>(
         [sim = std::make_shared<proto::Simulation>(nodes, topology,
-                                                   std::move(config)),
-         queue_stats, hotpath_stats] {
+                                                   std::move(config))] {
           proto::SimResult r = sim->run();
           SimResult out;
           out.measured_window = r.measured_window;
@@ -135,8 +104,6 @@ class EconCastProtocol final : public Protocol {
               static_cast<double>(r.corrupted_receptions);
           out.extras["events_processed"] =
               static_cast<double>(r.events_processed);
-          if (queue_stats) report_queue_stats(out, r.queue_stats);
-          if (hotpath_stats) report_hotpath_stats(out, r.hotpath_stats);
           return out;
         });
   }
@@ -412,11 +379,8 @@ class TestbedProtocol final : public Protocol {
     config.duration_ms = params_.duration_ms;
     config.warmup_ms = params_.warmup_ms;
     config.observer = params_.observer;
-    config.queue_engine = params_.queue_engine;
     config.seed = seed;
-    return std::make_unique<LambdaSim>([config,
-                                        queue_stats =
-                                            params_.report_queue_stats] {
+    return std::make_unique<LambdaSim>([config] {
       const testbed::TestbedResult r = testbed::run_testbed(config);
       SimResult out;
       out.measured_window = r.measured_window_ms;
@@ -432,7 +396,6 @@ class TestbedProtocol final : public Protocol {
           static_cast<double>(r.pings_lost_collision);
       out.extras["pings_lost_decode"] =
           static_cast<double>(r.pings_lost_decode);
-      if (queue_stats) report_queue_stats(out, r.queue_stats);
       return out;
     });
   }

@@ -70,19 +70,6 @@ ProtocolSpec specialized(ProtocolSpec spec, model::Mode mode, double sigma) {
   return spec;
 }
 
-void set_queue_engine(ProtocolSpec& spec, sim::QueueEngine engine) {
-  if (auto* econ = std::get_if<EconCastParams>(&spec.params)) {
-    econ->config.queue_engine = engine;
-  } else if (auto* testbed = std::get_if<TestbedParams>(&spec.params)) {
-    testbed->queue_engine = engine;
-  }
-}
-
-void set_hotpath_engine(ProtocolSpec& spec, sim::HotpathEngine engine) {
-  if (auto* p = std::get_if<EconCastParams>(&spec.params))
-    p->config.hotpath_engine = engine;
-}
-
 ProtocolRegistry& ProtocolRegistry::global() {
   static ProtocolRegistry* const registry = [] {
     auto* r = new ProtocolRegistry();

@@ -1,7 +1,6 @@
 #include "protocol/protocol_json.h"
 
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 
 namespace econcast::protocol {
@@ -134,11 +133,7 @@ Value econcast_to_json(const EconCastParams& p) {
       .set("initial_energy", c.initial_energy)
       .set("energy_guard", c.energy_guard)
       .set("guard_floor", c.guard_floor)
-      .set("track_state_occupancy", c.track_state_occupancy)
-      .set("queue_engine", sim::to_token(c.queue_engine))
-      .set("report_queue_stats", c.report_queue_stats)
-      .set("hotpath_engine", sim::to_token(c.hotpath_engine))
-      .set("report_hotpath_stats", c.report_hotpath_stats);
+      .set("track_state_occupancy", c.track_state_occupancy);
   return Value(std::move(o));
 }
 
@@ -174,13 +169,6 @@ EconCastParams econcast_from_json(const Object& o) {
   c.guard_floor = num(o, "guard_floor", c.guard_floor);
   c.track_state_occupancy =
       flag(o, "track_state_occupancy", c.track_state_occupancy);
-  c.queue_engine = queue_engine_from_token_json(
-      str(o, "queue_engine", sim::to_token(c.queue_engine)));
-  c.report_queue_stats = flag(o, "report_queue_stats", c.report_queue_stats);
-  c.hotpath_engine = hotpath_engine_from_token_json(
-      str(o, "hotpath_engine", sim::to_token(c.hotpath_engine)));
-  c.report_hotpath_stats =
-      flag(o, "report_hotpath_stats", c.report_hotpath_stats);
   return EconCastParams{std::move(c)};
 }
 
@@ -224,9 +212,7 @@ Value params_to_json(const ProtocolParams& params) {
                        .set("sigma", p.sigma)
                        .set("duration_ms", p.duration_ms)
                        .set("warmup_ms", p.warmup_ms)
-                       .set("observer", p.observer)
-                       .set("queue_engine", sim::to_token(p.queue_engine))
-                       .set("report_queue_stats", p.report_queue_stats));
+                       .set("observer", p.observer));
     }
   };
   return std::visit(Visitor{}, params);
@@ -276,10 +262,6 @@ ProtocolParams params_from_json(const std::string& name, const Object& o) {
     p.duration_ms = num(o, "duration_ms", p.duration_ms);
     p.warmup_ms = num(o, "warmup_ms", p.warmup_ms);
     p.observer = flag(o, "observer", p.observer);
-    p.queue_engine =
-        queue_engine_from_token_json(
-            str(o, "queue_engine", sim::to_token(p.queue_engine)));
-    p.report_queue_stats = flag(o, "report_queue_stats", p.report_queue_stats);
     return p;
   }
   throw Error("protocol '" + name + "' has no JSON parameter codec");
@@ -334,22 +316,6 @@ model::Mode mode_from_token(const std::string& token) {
   if (token == "groupput") return model::Mode::kGroupput;
   if (token == "anyput") return model::Mode::kAnyput;
   throw Error("unknown mode '" + token + "'");
-}
-
-sim::QueueEngine queue_engine_from_token_json(const std::string& token) {
-  try {
-    return sim::queue_engine_from_token(token);
-  } catch (const std::invalid_argument& e) {
-    throw Error(e.what());
-  }
-}
-
-sim::HotpathEngine hotpath_engine_from_token_json(const std::string& token) {
-  try {
-    return sim::hotpath_engine_from_token(token);
-  } catch (const std::invalid_argument& e) {
-    throw Error(e.what());
-  }
 }
 
 Value to_json(const ProtocolSpec& spec) {

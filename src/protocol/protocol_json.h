@@ -31,16 +31,6 @@ SimResult sim_result_from_json(const util::json::Value& value);
 const char* mode_to_token(model::Mode mode) noexcept;
 model::Mode mode_from_token(const std::string& token);
 
-/// sim::queue_engine_from_token with the failure re-raised as a
-/// util::json::Error, so manifest/spec loads keep their "json::Error on
-/// malformed content" contract. Shared with the runner's manifest layer
-/// (the runner.queue_engine override uses the same tokens).
-sim::QueueEngine queue_engine_from_token_json(const std::string& token);
-
-/// sim::hotpath_engine_from_token with the same json::Error re-raise; shared
-/// with the runner's manifest layer (runner.hotpath_engine override).
-sim::HotpathEngine hotpath_engine_from_token_json(const std::string& token);
-
 }  // namespace econcast::protocol
 
 #endif  // ECONCAST_PROTOCOL_PROTOCOL_JSON_H

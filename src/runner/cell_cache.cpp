@@ -13,7 +13,6 @@
 #include "protocol/protocol_json.h"
 #include "runner/cost_model.h"
 #include "runner/manifest.h"
-#include "util/kernels.h"
 #include "util/sha256.h"
 
 namespace econcast::runner {
@@ -26,7 +25,7 @@ using util::json::Object;
 using util::json::Value;
 
 constexpr const char* kEntryFormat = "econcast-cell-cache";
-constexpr int kKeySchema = 1;
+constexpr int kKeySchema = 2;
 
 /// Reads the whole file; true only when it holds one complete
 /// '\n'-terminated line (anything else — empty, truncated mid-write,
@@ -57,12 +56,10 @@ Value CellCache::cell_key(const Scenario& cell, std::uint64_t seed) const {
   key.set("format", kEntryFormat)
       .set("schema", kKeySchema)
       .set("epoch", epoch_)
-      .set("seed", util::json::u64_to_string(seed))
-      .set("kernels", util::to_token(util::active_kernel_tier()));
+      .set("seed", util::json::u64_to_string(seed));
   // The scenario codec already serializes everything the result depends on
-  // (nodes, topology, the ProtocolSpec with engines resolved); only the
-  // name is dropped — names embed the sweep name, and cells are shared
-  // across sweeps.
+  // (nodes, topology, the ProtocolSpec); only the name is dropped — names
+  // embed the sweep name, and cells are shared across sweeps.
   const Value scenario = to_json(cell);
   for (const auto& [member, value] : scenario.as_object().members())
     if (member != "name") key.set(member, value);

@@ -273,16 +273,6 @@ Value to_json(const SweepManifest& manifest) {
   Object runner;
   runner.set("base_seed", util::json::u64_to_string(manifest.base_seed))
       .set("reseed", manifest.reseed);
-  if (!manifest.queue_engine.empty()) {
-    (void)protocol::queue_engine_from_token_json(
-        manifest.queue_engine);  // fail at the write, offender named
-    runner.set("queue_engine", manifest.queue_engine);
-  }
-  if (!manifest.hotpath_engine.empty()) {
-    (void)protocol::hotpath_engine_from_token_json(
-        manifest.hotpath_engine);  // fail at the write, offender named
-    runner.set("hotpath_engine", manifest.hotpath_engine);
-  }
   Object o;
   o.set("format", kManifestFormat)
       .set("schema_version", kSchemaVersion)
@@ -320,16 +310,6 @@ SweepManifest manifest_from_json(const Value& value) {
       manifest.base_seed = util::json::u64_from_string(seed->as_string());
     if (const Value* reseed = r.find("reseed"))
       manifest.reseed = reseed->as_bool();
-    if (const Value* engine = r.find("queue_engine")) {
-      manifest.queue_engine = engine->as_string();
-      (void)protocol::queue_engine_from_token_json(
-          manifest.queue_engine);  // reject at parse time
-    }
-    if (const Value* engine = r.find("hotpath_engine")) {
-      manifest.hotpath_engine = engine->as_string();
-      (void)protocol::hotpath_engine_from_token_json(
-          manifest.hotpath_engine);  // reject at parse time
-    }
   }
   return manifest;
 }

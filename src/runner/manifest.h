@@ -14,7 +14,8 @@
 // Manifests carry a schema_version (currently 2; version 1 files, which
 // predate node-set objects and edge lists, still load). Unknown versions
 // are rejected up front so a newer manifest never half-parses into the
-// wrong sweep.
+// wrong sweep. Members this build does not read are ignored, so manifests
+// that older builds wrote with execution-policy fields still load.
 //
 // Scenario round-trips are exact: nodes, topology edges and the
 // ProtocolSpec all survive, so scenario_from_json(to_json(s)) runs
@@ -38,20 +39,6 @@ struct SweepManifest {
   /// false: every cell runs with its protocol's own embedded seed (see
   /// protocol::effective_seed) instead of derive_seed(base_seed, index).
   bool reseed = true;
-  /// Optional event-queue backend override ("binary-heap" / "calendar",
-  /// serialized as runner.queue_engine): SweepSession applies it to every
-  /// cell whose protocol has a discrete-event kernel. Empty: each protocol
-  /// spec's own engine stands. Purely a performance knob — backends pop in
-  /// the same strict (time, seq) order, so results files are byte-identical
-  /// either way (and resuming a checkpoint under a different engine is
-  /// safe).
-  std::string queue_engine;
-  /// Optional simulator hot-path override ("reference" / "optimized",
-  /// serialized as runner.hotpath_engine): SweepSession applies it to every
-  /// EconCast cell. Empty: each protocol spec's own engine stands. Like
-  /// queue_engine, purely a performance knob — both engines produce
-  /// byte-identical results files.
-  std::string hotpath_engine;
 
   explicit SweepManifest(SweepSpec sweep_spec, std::uint64_t seed = 1,
                          bool reseed_cells = true)

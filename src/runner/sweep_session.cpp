@@ -9,8 +9,6 @@
 
 #include "protocol/protocol_json.h"
 #include "runner/cost_model.h"
-#include "sim/event_queue.h"
-#include "sim/hotpath.h"
 
 namespace econcast::runner {
 
@@ -20,26 +18,7 @@ using util::json::Value;
 }  // namespace
 
 std::vector<Scenario> expand_with_overrides(const SweepManifest& manifest) {
-  std::vector<Scenario> batch = manifest.spec.expand();
-  if (!manifest.queue_engine.empty()) {
-    // Backend override: applied to every cell with a discrete-event kernel.
-    // This cannot perturb names, seeds or results (backends pop in the same
-    // strict order), so checkpoints written under one engine resume cleanly
-    // under the other.
-    const sim::QueueEngine engine =
-        sim::queue_engine_from_token(manifest.queue_engine);
-    for (Scenario& scenario : batch)
-      protocol::set_queue_engine(scenario.protocol, engine);
-  }
-  if (!manifest.hotpath_engine.empty()) {
-    // Same contract as the queue override: the hot-path engine can never
-    // change results, only how fast the EconCast cells produce them.
-    const sim::HotpathEngine engine =
-        sim::hotpath_engine_from_token(manifest.hotpath_engine);
-    for (Scenario& scenario : batch)
-      protocol::set_hotpath_engine(scenario.protocol, engine);
-  }
-  return batch;
+  return manifest.spec.expand();
 }
 
 std::uint64_t manifest_cell_seed(const SweepManifest& manifest,

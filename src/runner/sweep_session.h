@@ -42,10 +42,10 @@
 
 namespace econcast::runner {
 
-/// The manifest's expansion with its queue/hot-path engine overrides applied
-/// to every cell — exactly the cells a SweepSession over this manifest runs,
-/// and therefore exactly the specs its cache keys hash. Fabric planners use
-/// this to derive the same keys a worker's session will.
+/// The manifest's expansion — exactly the cells a SweepSession over this
+/// manifest runs, and therefore exactly the specs its cache keys hash.
+/// Fabric planners use this to derive the same keys a worker's session will.
+/// (The name is kept for API stability; there are no overrides to apply.)
 std::vector<Scenario> expand_with_overrides(const SweepManifest& manifest);
 
 /// The seed cell `global_index` of the expansion runs with (the cell itself

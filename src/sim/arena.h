@@ -45,7 +45,7 @@ class Arena {
   /// itself fails.
   void* allocate(std::size_t bytes, std::size_t alignment);
 
-  /// Cumulative accounting, surfaced through the hotpath_* counters.
+  /// Cumulative accounting (chunk growth and bytes handed out).
   struct Stats {
     std::uint64_t bytes_allocated = 0;  // sum of all allocate() requests
     std::uint64_t bytes_reserved = 0;   // sum of chunk sizes

@@ -1,354 +1,14 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
-#include <utility>
-
-#include "sim/event_kernels.h"
 
 namespace econcast::sim {
 
-const char* to_token(QueueEngine engine) noexcept {
-  return engine == QueueEngine::kCalendar ? "calendar" : "binary-heap";
-}
-
-QueueEngine queue_engine_from_token(const std::string& token) {
-  if (token == "binary-heap") return QueueEngine::kBinaryHeap;
-  if (token == "calendar") return QueueEngine::kCalendar;
-  throw std::invalid_argument("unknown queue engine '" + token +
-                              "' (expected 'binary-heap' or 'calendar')");
-}
-
-// ---------------------------------------------------------------------------
-// Backends: pure priority queues on (time, seq). No staleness logic here —
-// the facade prunes cancelled events, so both backends stay oblivious to
-// cancellation and trivially agree on the pop order.
-// ---------------------------------------------------------------------------
-
-class EventQueueBackend {
- public:
-  virtual ~EventQueueBackend() = default;
-  virtual void push(const Event& event) = 0;
-  /// The (time, seq)-minimal stored event. Only called when size() > 0; may
-  /// reorganize internal storage (the calendar lays a new year).
-  virtual const Event& peek() = 0;
-  /// Removes and returns the (time, seq)-minimal stored event.
-  virtual Event pop() = 0;
-  /// Removes every stale event — cancellable with stamp !=
-  /// generations[node * kEventKindCount + kind] — and restores the
-  /// backend's ordering invariants. Returns the removed count. Every
-  /// cancellable stored event's slot must be < slot_count (the facade
-  /// guarantees it: schedule() sizes the table before entering the event).
-  virtual std::size_t prune_stale(const std::uint64_t* generations,
-                                  std::size_t slot_count) = 0;
-  virtual void clear() = 0;
-  virtual void reserve(std::size_t n) = 0;
-  virtual std::size_t size() const noexcept = 0;
-  virtual std::size_t capacity() const noexcept = 0;
-};
-
-namespace {
-
-/// The seed's implementation: a reservable vector heap.
-class BinaryHeapQueue final : public EventQueueBackend {
- public:
-  explicit BinaryHeapQueue(Arena* arena)
-      : heap_(ArenaAllocator<Event>(arena)) {}
-
-  void push(const Event& event) override {
-    heap_.push_back(event);
-    std::push_heap(heap_.begin(), heap_.end(), EventLater{});
-  }
-
-  const Event& peek() override { return heap_.front(); }
-
-  Event pop() override {
-    std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-    const Event event = heap_.back();
-    heap_.pop_back();
-    return event;
-  }
-
-  std::size_t prune_stale(const std::uint64_t* generations,
-                          std::size_t slot_count) override {
-    // partition_stale is a stable compaction — the same keep order
-    // std::remove_if produced — so the rebuilt heap layout is unchanged.
-    const std::size_t removed = event_kernels::partition_stale(
-        heap_.data(), heap_.size(), generations, slot_count);
-    heap_.resize(heap_.size() - removed);
-    std::make_heap(heap_.begin(), heap_.end(), EventLater{});
-    return removed;
-  }
-
-  void clear() override { heap_.clear(); }
-  void reserve(std::size_t n) override { heap_.reserve(n); }
-  std::size_t size() const noexcept override { return heap_.size(); }
-  std::size_t capacity() const noexcept override { return heap_.capacity(); }
-
- private:
-  ArenaVector<Event> heap_;
-};
-
-/// Calendar queue with an overflow ladder (a ladder queue in the sense of
-/// Tang et al.): a stack of progressively finer bucket "rungs" under an
-/// unsorted far-future top.
-///
-/// The top collects every event at or beyond top_start_. When no rung holds
-/// events, the whole top is laid out as the coarsest rung — direct-mapped
-/// buckets spanning [min, max] of its population. Pops drain the finest
-/// rung's current bucket by linear (time, seq)-min scan; a bucket whose
-/// population is large and not all-simultaneous is first *spawned* into a
-/// finer rung (its own sub-buckets over the bucket's span), so scan cost
-/// stays bounded while each event is redistributed only O(active depth)
-/// times along its way down — this is what keeps heavily skewed populations
-/// cheap (the simulators mix packet-scale events with wake-ups orders of
-/// magnitude out; single-year calendars re-touch that far tail on every
-/// rebuild, which measures *slower* than the heap on fig. 6).
-///
-/// Ordering correctness rests on three invariants: (a) top events are no
-/// earlier than any rung event while rungs exist (top_start_ is the
-/// coarsest rung's end), (b) within a rung, day assignment is monotone in
-/// time and buckets before `cur` stay empty (placements clamp into `cur` —
-/// which also absorbs out-of-order pushes the simulators never issue), and
-/// (c) a child rung spans exactly its parent's spawned bucket, whose `cur`
-/// has already moved past it. The facade's differential tests drive this
-/// backend against the binary heap with identical operation sequences.
-class CalendarQueue final : public EventQueueBackend {
- public:
-  explicit CalendarQueue(Arena* arena) : top_(ArenaAllocator<Event>(arena)) {}
-
-  void push(const Event& event) override {
-    ++count_;
-    if (depth_ == 0 || event.time >= top_start_) {
-      top_.push_back(event);
-      return;
-    }
-    // Finest rung whose span still covers the event; ends grow toward the
-    // coarser rungs, and everything at or past the coarsest end went to the
-    // top above, so the loop always places (i == 0 absorbs float dust).
-    for (std::size_t i = depth_; i-- > 0;) {
-      if (event.time < rungs_[i].end() || i == 0) {
-        place(rungs_[i], event, /*active=*/i + 1 == depth_);
-        return;
-      }
-    }
-  }
-
-  const Event& peek() override {
-    find_min();
-    Rung& rung = rungs_[depth_ - 1];
-    return rung.buckets[rung.cur][cached_min_];
-  }
-
-  Event pop() override {
-    find_min();
-    Rung& rung = rungs_[depth_ - 1];
-    std::vector<Event>& bucket = rung.buckets[rung.cur];
-    const Event event = bucket[cached_min_];
-    bucket[cached_min_] = bucket.back();
-    bucket.pop_back();
-    cached_min_ = kNoCache;
-    --count_;
-    return event;
-  }
-
-  std::size_t prune_stale(const std::uint64_t* generations,
-                          std::size_t slot_count) override {
-    std::size_t removed = 0;
-    const auto filter = [&](auto& events) {
-      const std::size_t dropped = event_kernels::partition_stale(
-          events.data(), events.size(), generations, slot_count);
-      removed += dropped;
-      events.resize(events.size() - dropped);
-    };
-    // Removing events changes no placement, so every structural invariant
-    // (rung spans, cur positions, top_start_) survives; find_min already
-    // copes with buckets and rungs emptied under it.
-    for (std::size_t i = 0; i < depth_; ++i)
-      for (std::size_t b = rungs_[i].cur; b < rungs_[i].nbuckets; ++b)
-        filter(rungs_[i].buckets[b]);
-    filter(top_);
-    count_ -= removed;
-    cached_min_ = kNoCache;
-    return removed;
-  }
-
-  void clear() override {
-    for (Rung& rung : rungs_)
-      for (std::vector<Event>& bucket : rung.buckets) bucket.clear();
-    top_.clear();
-    top_start_ = kAlwaysTop;
-    depth_ = 0;
-    count_ = 0;
-    cached_min_ = kNoCache;
-  }
-
-  void reserve(std::size_t n) override {
-    top_.reserve(n);
-    reserved_ = std::max(reserved_, n);
-  }
-
-  std::size_t size() const noexcept override { return count_; }
-  std::size_t capacity() const noexcept override {
-    return std::max(reserved_, top_.capacity());
-  }
-
- private:
-  static constexpr std::size_t kNoCache = ~std::size_t{0};
-  static constexpr double kAlwaysTop = -1e308;  // "everything to the top"
-  /// Buckets bigger than this (with distinct times) spawn a finer rung
-  /// instead of being min-scanned.
-  static constexpr std::size_t kSpawnThreshold = 16;
-  /// Recursion guard for adversarial clusters; beyond it, buckets are
-  /// scanned no matter their size (still correct, just linear).
-  static constexpr std::size_t kMaxRungs = 48;
-
-  struct Rung {
-    double start = 0.0;  // time at bucket 0's left edge
-    double width = 1.0;
-    std::size_t nbuckets = 0;  // active prefix of `buckets`
-    std::size_t cur = 0;       // bucket currently being drained
-    std::vector<std::vector<Event>> buckets;  // capacity persists in the pool
-
-    double end() const noexcept {
-      return start + width * static_cast<double>(nbuckets);
-    }
-  };
-
-  void place(Rung& rung, const Event& event, bool active) {
-    const double d = (event.time - rung.start) / rung.width;
-    std::size_t day;
-    if (!(d > static_cast<double>(rung.cur)))
-      day = rung.cur;  // past/current edge (or NaN): the bucket being drained
-    else if (d >= static_cast<double>(rung.nbuckets))
-      day = rung.nbuckets - 1;  // float dust at the right edge
-    else
-      day = static_cast<std::size_t>(d);
-    if (active && day == rung.cur) cached_min_ = kNoCache;
-    rung.buckets[day].push_back(event);
-  }
-
-  /// Re-initializes the pooled rung at `index` (bucket capacities persist).
-  Rung& acquire(std::size_t index, double start, double width,
-                std::size_t nbuckets) {
-    if (index == rungs_.size()) rungs_.emplace_back();
-    Rung& rung = rungs_[index];
-    if (rung.buckets.size() < nbuckets) rung.buckets.resize(nbuckets);
-    rung.start = start;
-    rung.width = width;
-    rung.nbuckets = nbuckets;
-    rung.cur = 0;
-    return rung;
-  }
-
-  static std::size_t bucket_count_for(std::size_t population) {
-    std::size_t want = 8;
-    while (want < population) want <<= 1;
-    return want;
-  }
-
-  /// Lays the whole top out as the coarsest rung. Precondition: depth_ == 0
-  /// and top_ non-empty. The span covers [min, max], so the top empties
-  /// completely and top_start_ becomes the rung's end.
-  void spawn_from_top() {
-    double t_min, t_max;
-    event_kernels::time_bounds(top_.data(), top_.size(), t_min, t_max);
-    const std::size_t nbuckets = bucket_count_for(top_.size());
-    const double span = t_max - t_min;
-    const double width =
-        span > 0.0 && std::isfinite(span)
-            ? span * (1.0 + 1e-12) / static_cast<double>(nbuckets)
-            : 1.0;
-    Rung& rung = acquire(0, t_min, width, nbuckets);
-    depth_ = 1;
-    for (const Event& event : top_) place(rung, event, /*active=*/false);
-    top_.clear();
-    top_start_ = rung.end();
-  }
-
-  /// Spawns rungs_[parent].buckets[cur] into a finer rung and advances the
-  /// parent past it. Returns false (no structural change) when the child
-  /// width would degenerate.
-  bool spawn_from_bucket(std::size_t parent) {
-    std::vector<Event>& bucket =
-        rungs_[parent].buckets[rungs_[parent].cur];
-    const std::size_t nbuckets = bucket_count_for(bucket.size());
-    const double width =
-        rungs_[parent].width / static_cast<double>(nbuckets);
-    if (!(width > 0.0) || !std::isfinite(width)) return false;
-    const double start = rungs_[parent].start +
-                         rungs_[parent].width *
-                             static_cast<double>(rungs_[parent].cur);
-    Rung& child = acquire(depth_, start, width, nbuckets);  // may realloc
-    std::vector<Event>& spawned =
-        rungs_[parent].buckets[rungs_[parent].cur];
-    ++depth_;
-    for (const Event& event : spawned) place(child, event, /*active=*/false);
-    spawned.clear();
-    ++rungs_[parent].cur;  // nothing may land in the spawned bucket again
-    return true;
-  }
-
-  /// Establishes cached_min_ inside the finest rung's current bucket.
-  /// Precondition: count_ > 0.
-  void find_min() {
-    if (cached_min_ != kNoCache) return;
-    while (true) {
-      if (depth_ == 0) {
-        spawn_from_top();
-        continue;
-      }
-      Rung& rung = rungs_[depth_ - 1];
-      while (rung.cur < rung.nbuckets && rung.buckets[rung.cur].empty())
-        ++rung.cur;
-      if (rung.cur == rung.nbuckets) {
-        --depth_;  // rung drained; resume the parent after its spawned bucket
-        continue;
-      }
-      const std::vector<Event>& bucket = rung.buckets[rung.cur];
-      const event_kernels::MinScanResult scan =
-          event_kernels::min_scan(bucket.data(), bucket.size());
-      if (bucket.size() > kSpawnThreshold && scan.hi > scan.lo &&
-          depth_ < kMaxRungs && spawn_from_bucket(depth_ - 1))
-        continue;
-      cached_min_ = scan.best;
-      return;
-    }
-  }
-
-  std::vector<Rung> rungs_;  // pool; [0, depth_) active, coarse -> fine
-                             // (bucket capacities persist, so the pooled
-                             //  rungs stay on the heap rather than leaking
-                             //  abandoned blocks into the arena)
-  ArenaVector<Event> top_;   // unsorted events at/beyond top_start_
-  double top_start_ = kAlwaysTop;
-  std::size_t depth_ = 0;
-  std::size_t count_ = 0;
-  std::size_t cached_min_ = kNoCache;
-  std::size_t reserved_ = 0;
-};
-
-std::unique_ptr<EventQueueBackend> make_backend(QueueEngine engine,
-                                                Arena* arena) {
-  if (engine == QueueEngine::kCalendar)
-    return std::make_unique<CalendarQueue>(arena);
-  return std::make_unique<BinaryHeapQueue>(arena);
-}
-
-}  // namespace
-
-// ------------------------------------------------------------------ facade --
-
-EventQueue::EventQueue(QueueEngine engine, Arena* arena)
-    : engine_(engine),
-      backend_(make_backend(engine, arena)),
+EventQueue::EventQueue(Arena* arena)
+    : heap_(ArenaAllocator<Event>(arena)),
       generations_(ArenaAllocator<std::uint64_t>(arena)),
       slot_live_(ArenaAllocator<std::uint8_t>(arena)) {}
-
-EventQueue::~EventQueue() = default;
-EventQueue::EventQueue(EventQueue&&) noexcept = default;
-EventQueue& EventQueue::operator=(EventQueue&&) noexcept = default;
 
 void EventQueue::reserve_for_nodes(std::size_t n) {
   reserve(capacity_for_nodes(n));
@@ -371,10 +31,6 @@ std::size_t EventQueue::slot(NodeId node, EventKind kind) {
   return index;
 }
 
-std::uint64_t& EventQueue::generation(NodeId node, EventKind kind) {
-  return generations_[slot(node, kind)];
-}
-
 bool EventQueue::stale(const Event& e) const noexcept {
   if (!e.cancellable) return false;
   const std::size_t slot =
@@ -384,23 +40,25 @@ bool EventQueue::stale(const Event& e) const noexcept {
 }
 
 void EventQueue::push(double time, EventKind kind, NodeId node) {
-  backend_->push(Event{time, next_seq_++, kind, false, node, 0});
+  heap_.push_back(Event{time, next_seq_++, kind, false, node, 0});
+  std::push_heap(heap_.begin(), heap_.end(), EventLater{});
   ++live_;  // durable events stay live until popped
   ++stats_.pushes;
-  stats_.peak_live = std::max(stats_.peak_live, backend_->size());
+  stats_.peak_live = std::max(stats_.peak_live, heap_.size());
   maybe_compact();
 }
 
 void EventQueue::schedule(double time, EventKind kind, NodeId node) {
   const std::size_t s = slot(node, kind);
   const std::uint64_t gen = ++generations_[s];
-  backend_->push(Event{time, next_seq_++, kind, true, node, gen});
+  heap_.push_back(Event{time, next_seq_++, kind, true, node, gen});
+  std::push_heap(heap_.begin(), heap_.end(), EventLater{});
   if (!slot_live_[s]) {
     slot_live_[s] = 1;
     ++live_;
   }  // else the superseded event went stale: net live count unchanged
   ++stats_.pushes;
-  stats_.peak_live = std::max(stats_.peak_live, backend_->size());
+  stats_.peak_live = std::max(stats_.peak_live, heap_.size());
   maybe_compact();
 }
 
@@ -414,10 +72,11 @@ void EventQueue::cancel(NodeId node, EventKind kind) {
 }
 
 const Event* EventQueue::peek_live() {
-  while (backend_->size() > 0) {
-    const Event& head = backend_->peek();
+  while (!heap_.empty()) {
+    const Event& head = heap_.front();
     if (!stale(head)) return &head;
-    backend_->pop();
+    std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
+    heap_.pop_back();
     ++stats_.stale_drops;
   }
   return nullptr;
@@ -435,33 +94,40 @@ Event EventQueue::pop() {
   if (peek_live() == nullptr)
     throw std::logic_error("pop from empty EventQueue");
   ++stats_.pops;
-  const Event event = backend_->pop();
+  std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
+  const Event event = heap_.back();
+  heap_.pop_back();
   if (event.cancellable) slot_live_[slot(event.node, event.kind)] = 0;
   --live_;
   return event;
 }
 
 void EventQueue::maybe_compact() {
-  const std::size_t stored = backend_->size();
+  const std::size_t stored = heap_.size();
   if (stored < kCompactionFloor || stored - live_ <= live_) return;
-  stats_.stale_drops +=
-      backend_->prune_stale(generations_.data(), generations_.size());
+  // A stable keep-order filter followed by a re-heapify: the rebuilt layout
+  // is a function of the surviving sequence alone, so compaction stays
+  // deterministic. Every cancellable stored event's slot exists (schedule()
+  // sized the table before entering it), so stale() never reads past it.
+  const auto kept = std::remove_if(heap_.begin(), heap_.end(),
+                                   [this](const Event& e) { return stale(e); });
+  stats_.stale_drops += static_cast<std::uint64_t>(heap_.end() - kept);
+  heap_.erase(kept, heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), EventLater{});
 }
 
 void EventQueue::clear() {
-  backend_->clear();
+  heap_.clear();
   std::fill(slot_live_.begin(), slot_live_.end(), 0);
   live_ = 0;
   // Generations survive clear(): a cleared queue holds no events, so every
   // slot is trivially consistent either way.
 }
 
-void EventQueue::reserve(std::size_t n) { backend_->reserve(n); }
+void EventQueue::reserve(std::size_t n) { heap_.reserve(n); }
 
-std::size_t EventQueue::capacity() const noexcept {
-  return backend_->capacity();
-}
+std::size_t EventQueue::capacity() const noexcept { return heap_.capacity(); }
 
-std::size_t EventQueue::size() const noexcept { return backend_->size(); }
+std::size_t EventQueue::size() const noexcept { return heap_.size(); }
 
 }  // namespace econcast::sim

@@ -1,20 +1,7 @@
-// Future-event list for the continuous-time simulators — a pluggable kernel.
-//
-// `EventQueue` is a thin facade over two interchangeable backends:
-//
-//   * kBinaryHeap — std::push_heap/pop_heap over a reservable vector; the
-//     reference implementation (the seed's behavior, kept as the oracle the
-//     calendar backend is differentially tested against).
-//   * kCalendar — a calendar queue: direct-mapped time buckets plus an
-//     overflow ladder for events beyond the current "year". Tuned for this
-//     codebase's workload (a few live events per node, bounded horizon),
-//     where push and pop are O(1) amortized instead of O(log n); the year is
-//     re-laid over the overflow ladder when it drains, with the bucket width
-//     re-estimated from the live population each time.
-//
-// Both backends guarantee the same strict total pop order on (time, seq) —
-// seq is assigned by push order — so the backend choice can never change
-// simulation results; it only changes how fast they are computed.
+// Future-event list for the continuous-time simulators: a binary heap over
+// a reservable (optionally arena-backed) vector, popping in the strict total
+// order (time, seq) — seq is assigned by push order, so simultaneous events
+// pop first-in first-out.
 //
 // Cancellation is owned by the queue: `schedule()` enters a *cancellable*
 // event bound to the current generation of its (node, kind) slot and bumps
@@ -25,29 +12,24 @@
 // proto::Simulation and testbed::run_testbed. Re-sampling on cancel is
 // statistically valid because the sojourn times are exponential
 // (memorylessness). `push()` enters a durable event that no cancellation
-// affects. All staleness bookkeeping lives in the facade, so the
-// instrumentation counters (pushes, pops, stale drops, peak live events)
-// are backend-independent by construction.
+// affects.
 //
 // Lazy deletion alone lets cancelled far-future events pile up: a sleeping
 // node's wake-up can sit orders of magnitude past the horizon, get
 // superseded thousands of times, and every stale copy stays stored because
-// it never surfaces at the head. The facade therefore tracks the exact live
+// it never surfaces at the head. The queue therefore tracks the exact live
 // count (at most one scheduled event per (node, kind) slot plus the durable
-// events) and, when stale entries outnumber live ones, compacts the backend
-// in place — filtering the stale events out and restoring the backend's
-// invariants. The trigger depends only on the operation sequence, never on
-// wall time, so compaction is deterministic, identical across backends, and
-// invisible in the pop order (it only removes events that could never be
-// delivered); the pruned events count into stale_drops exactly as if they
-// had surfaced.
+// events) and, when stale entries outnumber live ones, compacts the heap in
+// place — filtering the stale events out and re-heapifying. The trigger
+// depends only on the operation sequence, never on wall time, so compaction
+// is deterministic and invisible in the pop order (it only removes events
+// that could never be delivered); the pruned events count into stale_drops
+// exactly as if they had surfaced.
 #ifndef ECONCAST_SIM_EVENT_QUEUE_H
 #define ECONCAST_SIM_EVENT_QUEUE_H
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "sim/arena.h"
 #include "sim/node_id.h"
@@ -75,7 +57,7 @@ struct Event {
   std::uint64_t stamp = 0;  // queue generation (cancellable events only)
 };
 
-/// The strict total order both backends pop in: earliest time first, push
+/// The strict total order the queue pops in: earliest time first, push
 /// order (seq) breaking ties. `operator()(a, b)` is "a pops later than b".
 struct EventLater {
   bool operator()(const Event& a, const Event& b) const noexcept {
@@ -84,19 +66,8 @@ struct EventLater {
   }
 };
 
-/// Backend selection. kBinaryHeap is the reference; kCalendar is the
-/// O(1)-amortized bucket queue for the N >= 64 regime.
-enum class QueueEngine : std::uint8_t { kBinaryHeap, kCalendar };
-
-/// "binary-heap" / "calendar" — the wire/CLI token of an engine.
-const char* to_token(QueueEngine engine) noexcept;
-
-/// Inverse of to_token. Throws std::invalid_argument (with the offending
-/// token named) for anything else.
-QueueEngine queue_engine_from_token(const std::string& token);
-
-/// Instrumentation counters, identical across backends for identical call
-/// sequences (staleness is resolved in the facade, in pop order).
+/// Instrumentation counters; a pure function of the call sequence
+/// (staleness is resolved in pop order).
 struct QueueStats {
   std::uint64_t pushes = 0;       // push() + schedule() calls that entered
   std::uint64_t pops = 0;         // live events handed to the caller
@@ -104,19 +75,11 @@ struct QueueStats {
   std::size_t peak_live = 0;      // high-water mark of stored events
 };
 
-class EventQueueBackend;  // internal; defined in event_queue.cpp
-
 class EventQueue {
  public:
   /// With an arena, event storage and the generation table are arena-backed
   /// (the arena must outlive the queue and any queue moved-from it).
-  explicit EventQueue(QueueEngine engine = QueueEngine::kBinaryHeap,
-                      Arena* arena = nullptr);
-  ~EventQueue();
-  EventQueue(EventQueue&&) noexcept;
-  EventQueue& operator=(EventQueue&&) noexcept;
-
-  QueueEngine engine() const noexcept { return engine_; }
+  explicit EventQueue(Arena* arena = nullptr);
 
   /// The shared capacity policy for simulators whose live event count is
   /// bounded by a few events per node (pending transition, interval end,
@@ -167,15 +130,13 @@ class EventQueue {
   static constexpr std::size_t kCompactionFloor = 64;
 
   std::size_t slot(NodeId node, EventKind kind);
-  std::uint64_t& generation(NodeId node, EventKind kind);
   bool stale(const Event& e) const noexcept;
   /// Prunes stale events at the head; nullptr when no live event remains.
   const Event* peek_live();
-  /// Compacts the backend when stale entries outnumber live ones.
+  /// Compacts the heap when stale entries outnumber live ones.
   void maybe_compact();
 
-  QueueEngine engine_;
-  std::unique_ptr<EventQueueBackend> backend_;
+  ArenaVector<Event> heap_;                 // std::push_heap order, EventLater
   ArenaVector<std::uint64_t> generations_;  // node-major, kEventKindCount wide
   ArenaVector<std::uint8_t> slot_live_;     // 1 iff the slot's scheduled
                                             // event is stored and live

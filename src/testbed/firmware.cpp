@@ -49,7 +49,7 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
     nd.drift = rng.uniform(1.0 - hw.sleep_clock_drift,
                            1.0 + hw.sleep_clock_drift);
 
-  sim::EventQueue queue(cfg.queue_engine);
+  sim::EventQueue queue;
   queue.reserve_for_nodes(cfg.n);  // shared policy with proto::Simulation
   double now = 0.0;
 
@@ -289,7 +289,6 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
     ratio_max = std::max(ratio_max, ratio);
     result.final_eta[j] = nodes[j].eta;
   }
-  result.queue_stats = queue.stats();
   result.battery_ratio_mean = ratio_sum / static_cast<double>(cfg.n);
   result.battery_ratio_min = ratio_min;
   result.battery_ratio_max = ratio_max;

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "testbed/ez430.h"
 #include "util/stats.h"
 
@@ -36,10 +35,6 @@ struct TestbedConfig {
   double warmup_ms = 20.0 * 60.0 * 1000.0;     // adaptation transient
   std::uint64_t seed = 1;
   bool observer = true;
-
-  /// Event-queue backend (same contract as proto::SimConfig::queue_engine:
-  /// the backend can never change results, only wall-clock time).
-  sim::QueueEngine queue_engine = sim::QueueEngine::kBinaryHeap;
 
   // Multiplier adaptation (same auto-scaling rationale as SimConfig).
   double tau_ms = 30.0 * 1000.0;  // update interval
@@ -75,9 +70,6 @@ struct TestbedResult {
   std::uint64_t pings_lost_collision = 0;
   std::uint64_t pings_lost_decode = 0;
   std::vector<double> final_eta;
-
-  /// Event-queue instrumentation for this run (backend-independent).
-  sim::QueueStats queue_stats;
 };
 
 /// Runs the firmware emulation.

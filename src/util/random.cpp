@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/kernels.h"
-
 namespace econcast::util {
 
 std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
@@ -63,12 +61,12 @@ void Xoshiro256::jump() noexcept {
 void Rng::refill() {
   // Generator outputs in stream order (the recurrence is sequential, so
   // the batch win here is the tight loop and the single state round-trip),
-  // then the whole block through the dispatched u01 kernel at once. Both
-  // views of the block are kept: uniform() consumes u01_[i], raw-bit draws
-  // consume raw_[i], and one cursor walks them in lockstep so the stream
-  // order is exactly the unbuffered path's.
+  // then the whole block converted to [0, 1) in a second, branch-free loop.
+  // Both views of the block are kept: uniform() consumes u01_[i], raw-bit
+  // draws consume raw_[i], and one cursor walks them in lockstep so the
+  // stream order is exactly the unbuffered path's.
   for (std::size_t i = 0; i < block_; ++i) raw_[i] = gen_();
-  u01_from_bits(raw_.data(), u01_.data(), block_);
+  for (std::size_t i = 0; i < block_; ++i) u01_[i] = to_u01(raw_[i]);
   pos_ = 0;
   fill_ = block_;
 }

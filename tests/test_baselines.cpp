@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "baselines/birthday.h"
 #include "baselines/panda.h"
@@ -26,9 +27,14 @@ TEST(Birthday, ClosedFormKnownValue) {
 }
 
 TEST(Birthday, SimulationMatchesClosedForm) {
+  const std::uint64_t slots = 4000000;
+  const BirthdaySimDetail d =
+      simulate_birthday_detailed(5, 0.01, 0.01, slots, 9);
   for (const Mode mode : {Mode::kGroupput, Mode::kAnyput}) {
     const double analytic = birthday_throughput(5, 0.01, 0.01, mode);
-    const double sim = simulate_birthday(5, 0.01, 0.01, mode, 4000000, 9);
+    const double credit =
+        mode == Mode::kGroupput ? d.groupput_credit : d.anyput_credit;
+    const double sim = credit / static_cast<double>(slots);
     EXPECT_NEAR(sim, analytic, 0.05 * analytic + 1e-5)
         << model::to_string(mode);
   }
@@ -91,11 +97,17 @@ TEST(Panda, OptimizerSaturatesBudget) {
 
 TEST(Panda, SimulationValidatesAnalyticalModel) {
   const PandaDesign d = optimize_panda(5, 10.0, 500.0, 500.0);
-  const PandaSimResult sim =
-      simulate_panda(5, d.wake_rate, d.listen_window, 500.0, 500.0, 3e6, 21);
+  const double duration = 3e6;
+  const PandaSimDetail sim =
+      simulate_panda_detailed(5, d.wake_rate, d.listen_window, duration, 21);
+  double energy = 0.0;
+  for (std::size_t i = 0; i < 5; ++i)
+    energy += sim.listen_time[i] * 500.0 + sim.transmit_time[i] * 500.0;
+  const double groupput = static_cast<double>(sim.receptions) / duration;
+  const double avg_power = energy / (5.0 * duration);
   // The renewal model is approximate; require agreement within 15%.
-  EXPECT_NEAR(sim.groupput, d.throughput, 0.15 * d.throughput);
-  EXPECT_NEAR(sim.avg_power, d.power, 0.15 * d.power);
+  EXPECT_NEAR(groupput, d.throughput, 0.15 * d.throughput);
+  EXPECT_NEAR(avg_power, d.power, 0.15 * d.power);
 }
 
 TEST(Panda, PaperHeadlineGapVersusOracle) {
@@ -118,15 +130,17 @@ TEST(Panda, ThroughputImprovesWithBudget) {
 TEST(Panda, RejectsBadInputs) {
   EXPECT_THROW(optimize_panda(1, 10.0, 500.0, 500.0), std::invalid_argument);
   EXPECT_THROW(optimize_panda(5, 0.0, 500.0, 500.0), std::invalid_argument);
-  EXPECT_THROW(simulate_panda(5, 0.0, 1.0, 500.0, 500.0, 1e4, 1),
+  EXPECT_THROW(simulate_panda_detailed(5, 0.0, 1.0, 1e4, 1),
                std::invalid_argument);
 }
 
 TEST(Panda, SimDeterministicPerSeed) {
-  const PandaSimResult a = simulate_panda(5, 0.01, 1.0, 500.0, 500.0, 1e5, 5);
-  const PandaSimResult b = simulate_panda(5, 0.01, 1.0, 500.0, 500.0, 1e5, 5);
+  const PandaSimDetail a = simulate_panda_detailed(5, 0.01, 1.0, 1e5, 5);
+  const PandaSimDetail b = simulate_panda_detailed(5, 0.01, 1.0, 1e5, 5);
   EXPECT_EQ(a.packets, b.packets);
   EXPECT_EQ(a.receptions, b.receptions);
+  EXPECT_EQ(a.listen_time, b.listen_time);
+  EXPECT_EQ(a.transmit_time, b.transmit_time);
 }
 
 // ------------------------------------------------------------- searchlight --

@@ -108,6 +108,23 @@ TEST(CellCache, KeyIgnoresNameAndSeparatesSeeds) {
   EXPECT_EQ(tail.substr(1, 2), tail.substr(4, 2));
 }
 
+TEST(CellCache, KeyDocumentHoldsScenarioDataOnly) {
+  const fs::path dir = test_dir();
+  const runner::CellCache cache((dir / "cache").string());
+  const auto cells = runner::expand_with_overrides(small_manifest());
+  const util::json::Value key = cache.cell_key(cells[0], 42);
+  EXPECT_EQ(key.at("schema").as_number(), 2.0);
+  // Exactly the documented members: no execution policy (engine, kernel
+  // tier, threads, order) may enter the key.
+  std::vector<std::string> members;
+  for (const auto& [member, value] : key.as_object().members())
+    members.push_back(member);
+  std::sort(members.begin(), members.end());
+  EXPECT_EQ(members,
+            (std::vector<std::string>{"epoch", "format", "nodes", "protocol",
+                                      "schema", "seed", "topology"}));
+}
+
 TEST(CellCache, ForeignEpochIsADisjointNamespace) {
   const fs::path dir = test_dir();
   const auto cells = runner::expand_with_overrides(small_manifest());

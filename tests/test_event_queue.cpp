@@ -1,21 +1,19 @@
-// The pluggable event-queue kernel: differential tests driving both
-// backends (binary heap — the reference — and the calendar/ladder queue)
-// with identical push/schedule/cancel/pop sequences and asserting identical
-// pop streams and counters; cancellation semantics; stale-drop accounting;
-// the shared reserve_for_nodes capacity policy; and end-to-end cross-engine
-// equality of the two discrete-event simulators (which is what makes the
-// backend a pure performance knob).
+// The event queue: ordering, cancellation semantics, stale-drop
+// accounting, compaction, the shared reserve_for_nodes capacity policy, and
+// a randomized differential test against a trivially correct eager-deletion
+// model of the same contract (std::map keyed on (time, seq)).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <string>
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "econcast/simulation.h"
 #include "model/network.h"
 #include "model/node_params.h"
 #include "sim/event_queue.h"
-#include "testbed/firmware.h"
 #include "util/random.h"
 
 namespace {
@@ -24,17 +22,11 @@ using namespace econcast;
 using sim::Event;
 using sim::EventKind;
 using sim::EventQueue;
-using sim::QueueEngine;
 
-constexpr QueueEngine kEngines[] = {QueueEngine::kBinaryHeap,
-                                    QueueEngine::kCalendar};
+// ------------------------------------------------------------------ basics --
 
-// ------------------------------------------------------- per-engine basics --
-
-class EventQueueEngines : public ::testing::TestWithParam<QueueEngine> {};
-
-TEST_P(EventQueueEngines, OrdersByTimeThenSeq) {
-  EventQueue q(GetParam());
+TEST(EventQueue, OrdersByTimeThenSeq) {
+  EventQueue q;
   q.push(3.0, EventKind::kTransition, 0);
   q.push(1.0, EventKind::kPacketEnd, 1);
   q.push(2.0, EventKind::kIntervalEnd, 2);
@@ -46,8 +38,8 @@ TEST_P(EventQueueEngines, OrdersByTimeThenSeq) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueEngines, StaleDropAccounting) {
-  EventQueue q(GetParam());
+TEST(EventQueue, StaleDropAccounting) {
+  EventQueue q;
   q.schedule(1.0, EventKind::kTransition, 0);
   q.schedule(2.0, EventKind::kTransition, 0);  // replaces the first
   q.schedule(3.0, EventKind::kEnergyDepleted, 0);
@@ -62,8 +54,8 @@ TEST_P(EventQueueEngines, StaleDropAccounting) {
   EXPECT_EQ(q.stats().peak_live, 4u);
 }
 
-TEST_P(EventQueueEngines, EmptyPopAndTopThrow) {
-  EventQueue q(GetParam());
+TEST(EventQueue, EmptyPopAndTopThrow) {
+  EventQueue q;
   EXPECT_THROW(q.pop(), std::logic_error);
   EXPECT_THROW(q.top(), std::logic_error);
   // A fully cancelled queue is empty too, and pop still throws after the
@@ -75,8 +67,8 @@ TEST_P(EventQueueEngines, EmptyPopAndTopThrow) {
   EXPECT_EQ(q.stats().stale_drops, 1u);
 }
 
-TEST_P(EventQueueEngines, TopPrunesButDoesNotConsume) {
-  EventQueue q(GetParam());
+TEST(EventQueue, TopPrunesButDoesNotConsume) {
+  EventQueue q;
   q.schedule(1.0, EventKind::kTransition, 0);
   q.schedule(2.0, EventKind::kTransition, 0);
   EXPECT_DOUBLE_EQ(q.top().time, 2.0);
@@ -86,8 +78,8 @@ TEST_P(EventQueueEngines, TopPrunesButDoesNotConsume) {
   EXPECT_EQ(q.stats().pops, 1u);
 }
 
-TEST_P(EventQueueEngines, ClearEmptiesAndQueueRemainsUsable) {
-  EventQueue q(GetParam());
+TEST(EventQueue, ClearEmptiesAndQueueRemainsUsable) {
+  EventQueue q;
   for (int i = 0; i < 100; ++i)
     q.push(static_cast<double>(100 - i), EventKind::kCustom, 0);
   q.clear();
@@ -97,20 +89,20 @@ TEST_P(EventQueueEngines, ClearEmptiesAndQueueRemainsUsable) {
   EXPECT_DOUBLE_EQ(q.pop().time, 7.0);
 }
 
-TEST_P(EventQueueEngines, ReserveForNodesAppliesSharedPolicy) {
-  EventQueue q(GetParam());
+TEST(EventQueue, ReserveForNodesAppliesSharedPolicy) {
+  EventQueue q;
   q.reserve_for_nodes(100);
   EXPECT_GE(q.capacity(), EventQueue::capacity_for_nodes(100));
   EXPECT_EQ(EventQueue::capacity_for_nodes(100), 408u);
 }
 
-TEST_P(EventQueueEngines, CompactionBoundsStaleAccumulation) {
+TEST(EventQueue, CompactionBoundsStaleAccumulation) {
   // A sleeping node's far-future wake-up superseded over and over: pure
   // lazy deletion would store every stale copy until the end of time (the
   // fig. 6 workload peaks at ~500x the live population). Compaction must
   // keep the stored count within a small multiple of the live count while
   // preserving the live events and the conservation identity.
-  EventQueue q(GetParam());
+  EventQueue q;
   const std::uint32_t n = 8;
   q.reserve_for_nodes(n);
   for (int round = 0; round < 4000; ++round)
@@ -132,19 +124,19 @@ TEST_P(EventQueueEngines, CompactionBoundsStaleAccumulation) {
             q.stats().pops + q.stats().stale_drops);
 }
 
-TEST_P(EventQueueEngines, ManySimultaneousEventsPopInPushOrder) {
-  // Degenerate for a time-bucketed backend: every event at the same time.
-  EventQueue q(GetParam());
+TEST(EventQueue, ManySimultaneousEventsPopInPushOrder) {
+  // Every event at the same time: seq alone decides.
+  EventQueue q;
   for (std::uint32_t i = 0; i < 500; ++i)
     q.push(42.0, EventKind::kTransition, i);
   for (std::uint32_t i = 0; i < 500; ++i) EXPECT_EQ(q.pop().node, i);
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueEngines, FarFutureOutliersDoNotDisturbNearOrder) {
-  // The skew the ladder exists for: a dense near cluster plus wake-ups
-  // orders of magnitude out, interleaved with pops.
-  EventQueue q(GetParam());
+TEST(EventQueue, FarFutureOutliersDoNotDisturbNearOrder) {
+  // The simulators' skew: a dense near cluster plus wake-ups orders of
+  // magnitude out, interleaved with pops.
+  EventQueue q;
   for (std::uint32_t i = 0; i < 64; ++i) {
     q.push(1.0 + 0.001 * i, EventKind::kTransition, i);
     q.push(1e6 + 17.0 * i, EventKind::kTransition, 1000 + i);
@@ -166,82 +158,79 @@ TEST_P(EventQueueEngines, FarFutureOutliersDoNotDisturbNearOrder) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueEngines,
-                         ::testing::ValuesIn(kEngines),
-                         [](const auto& param_info) {
-                           return param_info.param == QueueEngine::kCalendar
-                                      ? std::string("Calendar")
-                                      : std::string("BinaryHeap");
-                         });
-
-// ------------------------------------------------------ engine token codec --
-
-TEST(QueueEngineTokens, RoundTripAndRejection) {
-  EXPECT_EQ(sim::queue_engine_from_token("binary-heap"),
-            QueueEngine::kBinaryHeap);
-  EXPECT_EQ(sim::queue_engine_from_token("calendar"), QueueEngine::kCalendar);
-  EXPECT_STREQ(sim::to_token(QueueEngine::kBinaryHeap), "binary-heap");
-  EXPECT_STREQ(sim::to_token(QueueEngine::kCalendar), "calendar");
-  EXPECT_THROW(sim::queue_engine_from_token("fibonacci"),
-               std::invalid_argument);
-  EXPECT_THROW(sim::queue_engine_from_token(""), std::invalid_argument);
-}
-
 // ------------------------------------------------------ differential tests --
 
-/// Drives both backends with one operation sequence and asserts identical
-/// pop streams (every Event field) and identical counters throughout.
+/// The contract, implemented the obvious way: live events in a map ordered
+/// by (time, seq), and cancellation as an eager erase. Each op runs against
+/// the real queue and this model; every pop must return the same event.
 class DifferentialHarness {
  public:
-  DifferentialHarness()
-      : heap_(QueueEngine::kBinaryHeap), calendar_(QueueEngine::kCalendar) {}
-
   void push(double time, EventKind kind, std::uint32_t node) {
-    heap_.push(time, kind, node);
-    calendar_.push(time, kind, node);
+    queue_.push(time, kind, node);
+    model_.emplace(std::make_pair(time, next_seq_),
+                   Event{time, next_seq_, kind, false, node, 0});
+    ++next_seq_;
   }
   void schedule(double time, EventKind kind, std::uint32_t node) {
-    heap_.schedule(time, kind, node);
-    calendar_.schedule(time, kind, node);
+    queue_.schedule(time, kind, node);
+    cancel_in_model(node, kind);
+    model_.emplace(std::make_pair(time, next_seq_),
+                   Event{time, next_seq_, kind, true, node, 0});
+    scheduled_[{node, kind}] = {time, next_seq_};
+    ++next_seq_;
   }
   void cancel(std::uint32_t node, EventKind kind) {
-    heap_.cancel(node, kind);
-    calendar_.cancel(node, kind);
+    queue_.cancel(node, kind);
+    cancel_in_model(node, kind);
   }
 
-  /// Pops both queues (expecting both non-empty) and checks the events
-  /// match; returns the popped time.
+  /// Pops both (expecting both non-empty) and checks the events match;
+  /// returns the popped time.
   double pop() {
-    const bool heap_empty = heap_.empty();
-    EXPECT_EQ(heap_empty, calendar_.empty());
-    EXPECT_FALSE(heap_empty);
-    const Event a = heap_.pop();
-    const Event b = calendar_.pop();
-    EXPECT_DOUBLE_EQ(a.time, b.time);
+    EXPECT_FALSE(empty());
+    const Event a = queue_.pop();
+    const Event b = model_.begin()->second;
+    model_.erase(model_.begin());
+    if (b.cancellable) scheduled_.erase({b.node, b.kind});
+    EXPECT_EQ(a.time, b.time);
     EXPECT_EQ(a.seq, b.seq);
     EXPECT_EQ(a.kind, b.kind);
     EXPECT_EQ(a.node, b.node);
     EXPECT_EQ(a.cancellable, b.cancellable);
+    ++pops_;
     return a.time;
   }
 
   bool empty() {
-    const bool e = heap_.empty();
-    EXPECT_EQ(e, calendar_.empty());
+    const bool e = queue_.empty();
+    EXPECT_EQ(e, model_.empty());
     return e;
   }
 
   void drain_and_compare() {
     while (!empty()) pop();
-    EXPECT_EQ(heap_.stats().pushes, calendar_.stats().pushes);
-    EXPECT_EQ(heap_.stats().pops, calendar_.stats().pops);
-    EXPECT_EQ(heap_.stats().stale_drops, calendar_.stats().stale_drops);
-    EXPECT_EQ(heap_.stats().peak_live, calendar_.stats().peak_live);
+    EXPECT_EQ(queue_.stats().pushes, next_seq_);
+    EXPECT_EQ(queue_.stats().pops, pops_);
+    // Drained: every entered event was either handed out or pruned.
+    EXPECT_EQ(queue_.stats().pushes,
+              queue_.stats().pops + queue_.stats().stale_drops);
   }
 
  private:
-  EventQueue heap_;
-  EventQueue calendar_;
+  void cancel_in_model(std::uint32_t node, EventKind kind) {
+    const auto it = scheduled_.find({node, kind});
+    if (it == scheduled_.end()) return;
+    model_.erase(it->second);
+    scheduled_.erase(it);
+  }
+
+  EventQueue queue_;
+  std::map<std::pair<double, std::uint64_t>, Event> model_;
+  std::map<std::pair<std::uint32_t, EventKind>,
+           std::pair<double, std::uint64_t>>
+      scheduled_;  // live cancellable event per (node, kind) slot
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t pops_ = 0;
 };
 
 EventKind random_kind(util::Rng& rng) {
@@ -282,8 +271,7 @@ TEST(EventQueueDifferential, SimLikeMonotoneWorkload) {
 
 TEST(EventQueueDifferential, AdversarialOutOfOrderPushes) {
   // Not a pattern the simulators produce: pushes earlier than the last
-  // popped time (the calendar clamps them into its current bucket), dense
-  // ties, and cancel storms. The reference heap defines the contract.
+  // popped time, dense ties, and cancel storms.
   for (const std::uint64_t seed : {3u, 99u, 4321u}) {
     util::Rng rng(seed);
     DifferentialHarness q;
@@ -322,9 +310,9 @@ TEST(EventQueueDifferential, BurstsOfSimultaneousSchedules) {
   q.drain_and_compare();
 }
 
-// -------------------------------------------- cross-engine end-to-end runs --
+// ------------------------------------------------ end-to-end accounting --
 
-TEST(CrossEngine, SimulationResultsAreIdentical) {
+TEST(EventQueueInSimulation, CountersReconcile) {
   const auto nodes = model::homogeneous(9, 10.0, 500.0, 500.0);
   proto::SimConfig cfg;
   cfg.sigma = 0.4;
@@ -333,57 +321,14 @@ TEST(CrossEngine, SimulationResultsAreIdentical) {
   cfg.seed = 99;
   cfg.energy_guard = true;  // exercises the kEnergyDepleted cancellation path
   cfg.initial_energy = 1e4;
-  const auto topo = model::Topology::grid(3, 3);
-
-  cfg.queue_engine = QueueEngine::kBinaryHeap;
-  const proto::SimResult a = proto::Simulation(nodes, topo, cfg).run();
-  cfg.queue_engine = QueueEngine::kCalendar;
-  const proto::SimResult b = proto::Simulation(nodes, topo, cfg).run();
-
-  EXPECT_DOUBLE_EQ(a.groupput, b.groupput);
-  EXPECT_DOUBLE_EQ(a.anyput, b.anyput);
-  EXPECT_EQ(a.packets_sent, b.packets_sent);
-  EXPECT_EQ(a.packets_received, b.packets_received);
-  EXPECT_EQ(a.bursts, b.bursts);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  ASSERT_EQ(a.final_eta.size(), b.final_eta.size());
-  for (std::size_t i = 0; i < a.final_eta.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.final_eta[i], b.final_eta[i]);
-    EXPECT_DOUBLE_EQ(a.avg_power[i], b.avg_power[i]);
-  }
-  // The counters are backend-independent too (staleness resolves in pop
-  // order inside the facade).
-  EXPECT_EQ(a.queue_stats.pushes, b.queue_stats.pushes);
-  EXPECT_EQ(a.queue_stats.pops, b.queue_stats.pops);
-  EXPECT_EQ(a.queue_stats.stale_drops, b.queue_stats.stale_drops);
-  EXPECT_EQ(a.queue_stats.peak_live, b.queue_stats.peak_live);
-  // And they reconcile: every push was either handled or pruned (nothing
-  // popped after the horizon: duration may leave events in the queue).
-  EXPECT_GE(a.queue_stats.pushes,
-            a.queue_stats.pops + a.queue_stats.stale_drops);
-}
-
-TEST(CrossEngine, FirmwareResultsAreIdentical) {
-  testbed::TestbedConfig cfg;
-  cfg.n = 10;
-  cfg.duration_ms = 30.0 * 60.0 * 1000.0;
-  cfg.warmup_ms = 5.0 * 60.0 * 1000.0;
-  cfg.seed = 7;
-
-  cfg.queue_engine = QueueEngine::kBinaryHeap;
-  const testbed::TestbedResult a = testbed::run_testbed(cfg);
-  cfg.queue_engine = QueueEngine::kCalendar;
-  const testbed::TestbedResult b = testbed::run_testbed(cfg);
-
-  EXPECT_DOUBLE_EQ(a.groupput, b.groupput);
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.bursts, b.bursts);
-  EXPECT_EQ(a.pings_sent, b.pings_sent);
-  ASSERT_EQ(a.final_eta.size(), b.final_eta.size());
-  for (std::size_t i = 0; i < a.final_eta.size(); ++i)
-    EXPECT_DOUBLE_EQ(a.final_eta[i], b.final_eta[i]);
-  EXPECT_EQ(a.queue_stats.pops, b.queue_stats.pops);
-  EXPECT_EQ(a.queue_stats.stale_drops, b.queue_stats.stale_drops);
+  const proto::SimResult r =
+      proto::Simulation(nodes, model::Topology::grid(3, 3), cfg).run();
+  // Every live event the main loop handled was popped, and every push was
+  // either handled or pruned (events past the horizon stay in the queue).
+  EXPECT_EQ(r.queue_stats.pops, r.events_processed);
+  EXPECT_GE(r.queue_stats.pushes,
+            r.queue_stats.pops + r.queue_stats.stale_drops);
+  EXPECT_GT(r.queue_stats.stale_drops, 0u);
 }
 
 }  // namespace

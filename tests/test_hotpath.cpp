@@ -1,10 +1,10 @@
-// Tests for the simulation hot-path overhaul: the scenario arena and its
-// allocator, the incremental listener counts (randomized differential test
-// against the reference scan), cross-engine simulation equality (reference
-// and optimized engines must produce bit-identical results), the estimator
-// validation sweep, and the opt-in hotpath_* extras.
+// Tests for the simulation hot path: the scenario arena and its allocator,
+// the incremental listener counts (randomized differential test against an
+// O(degree) scan written here), the memoized rate rows (bit-identical to the
+// per-call rate expressions), and the estimator validation sweep.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -12,11 +12,10 @@
 #include <vector>
 
 #include "econcast/estimator.h"
-#include "econcast/simulation.h"
+#include "econcast/rates.h"
 #include "model/network.h"
 #include "sim/arena.h"
 #include "sim/channel.h"
-#include "sim/hotpath.h"
 #include "util/random.h"
 
 namespace {
@@ -70,31 +69,35 @@ TEST(Arena, VectorsUseArenaMemoryAndHeapFallback) {
 
 // ----------------------------------------- differential channel coverage --
 
-// Drives a random listen/burst/packet schedule through one optimized-engine
-// channel and checks the incremental listener counts against the reference
-// scan after every mutation. A reference-engine channel runs the same
-// schedule in lockstep so the two engines' visible behavior (counts,
-// outcomes, toggle drains) must match call for call.
-TEST(ChannelDifferential, RandomScheduleMatchesReferenceScan) {
+/// The oracle for Channel::listening_neighbors: an O(degree) scan of the
+/// neighbors' listen bits.
+int scan_listening_neighbors(const model::Topology& topo, const Channel& ch,
+                             NodeId node) {
+  int count = 0;
+  for (const std::size_t j : topo.neighbors(node))
+    count += ch.is_listening(static_cast<NodeId>(j)) ? 1 : 0;
+  return count;
+}
+
+// Drives a random listen/burst/packet schedule through a channel and checks
+// the incremental listener counts against the scan after every mutation.
+TEST(ChannelDifferential, RandomScheduleMatchesScan) {
   util::Rng topo_rng(7);
   for (int round = 0; round < 6; ++round) {
     const std::size_t n = 6 + static_cast<std::size_t>(round) * 5;
     const auto topo = model::Topology::random_gnp(n, 0.3, topo_rng);
 
     Arena arena;
-    Channel opt(topo, &arena, HotpathEngine::kOptimized);
-    Channel ref(topo, nullptr, HotpathEngine::kReference);
+    Channel ch(topo, &arena);
     util::Rng rng(1000 + static_cast<std::uint64_t>(round));
     NodeId tx_active = kNoNode;
     bool packet_open = false;
 
     auto check_all = [&] {
-      for (NodeId i = 0; i < n; ++i) {
-        ASSERT_EQ(opt.listening_neighbors(i), opt.listening_neighbors_scan(i))
+      for (NodeId i = 0; i < n; ++i)
+        ASSERT_EQ(ch.listening_neighbors(i),
+                  scan_listening_neighbors(topo, ch, i))
             << "node " << i;
-        ASSERT_EQ(opt.listening_neighbors(i), ref.listening_neighbors(i))
-            << "node " << i;
-      }
     };
 
     for (int step = 0; step < 2000; ++step) {
@@ -104,43 +107,29 @@ TEST(ChannelDifferential, RandomScheduleMatchesReferenceScan) {
         // preconditions (idle medium, not the transmitter).
         const auto i = static_cast<NodeId>(rng.uniform() *
                                            static_cast<double>(n));
-        if (i == tx_active || opt.busy_at(i) || opt.is_transmitting(i))
+        if (i == tx_active || ch.busy_at(i) || ch.is_transmitting(i))
           continue;
-        const bool target = !opt.is_listening(i);
-        opt.set_listening(i, target);
-        ref.set_listening(i, target);
+        ch.set_listening(i, !ch.is_listening(i));
       } else if (u < 0.75 && tx_active == kNoNode) {
         const auto i = static_cast<NodeId>(rng.uniform() *
                                            static_cast<double>(n));
-        if (opt.busy_at(i) || opt.is_listening(i)) continue;
-        opt.begin_burst(i);
-        ref.begin_burst(i);
+        if (ch.busy_at(i) || ch.is_listening(i)) continue;
+        ch.begin_burst(i);
         tx_active = i;
       } else if (u < 0.85 && tx_active != kNoNode && !packet_open) {
-        opt.begin_packet(tx_active);
-        ref.begin_packet(tx_active);
+        ch.begin_packet(tx_active);
         packet_open = true;
       } else if (u < 0.95 && packet_open) {
-        const Channel::PacketOutcome& a = opt.end_packet(tx_active);
-        const Channel::PacketOutcome& b = ref.end_packet(tx_active);
-        ASSERT_EQ(a.corrupted, b.corrupted);
-        ASSERT_EQ(std::vector<NodeId>(a.clean_receivers.begin(),
-                                      a.clean_receivers.end()),
-                  std::vector<NodeId>(b.clean_receivers.begin(),
-                                      b.clean_receivers.end()));
+        const Channel::PacketOutcome& outcome = ch.end_packet(tx_active);
+        for (const NodeId j : outcome.clean_receivers)
+          ASSERT_TRUE(ch.is_listening(j)) << "receiver " << j;
         packet_open = false;
       } else if (tx_active != kNoNode && !packet_open) {
-        opt.end_burst(tx_active);
-        ref.end_burst(tx_active);
+        ch.end_burst(tx_active);
         tx_active = kNoNode;
       }
       check_all();
-      if (rng.uniform() < 0.1) {
-        const ArenaVector<NodeId>& a = opt.drain_toggled();
-        std::vector<NodeId> drained_opt(a.begin(), a.end());
-        const ArenaVector<NodeId>& b = ref.drain_toggled();
-        ASSERT_EQ(drained_opt, std::vector<NodeId>(b.begin(), b.end()));
-      }
+      if (rng.uniform() < 0.1) (void)ch.drain_toggled();
     }
   }
 }
@@ -148,7 +137,7 @@ TEST(ChannelDifferential, RandomScheduleMatchesReferenceScan) {
 TEST(ChannelDifferential, ScratchBuffersAreReusedNotReallocated) {
   const auto topo = model::Topology::clique(8);
   Arena arena;
-  Channel ch(topo, &arena, HotpathEngine::kOptimized);
+  Channel ch(topo, &arena);
   for (NodeId i = 1; i < 8; ++i) ch.set_listening(i, true);
   (void)ch.drain_toggled();
   const Arena::Stats before = arena.stats();
@@ -165,102 +154,38 @@ TEST(ChannelDifferential, ScratchBuffersAreReusedNotReallocated) {
   EXPECT_EQ(arena.stats().bytes_allocated, before.bytes_allocated);
 }
 
-// ------------------------------------------------- cross-engine equality --
+// --------------------------------------------------------- rate-row memo --
 
-proto::SimResult run_once(const model::NodeSet& nodes,
-                          const model::Topology& topo, proto::SimConfig cfg) {
-  proto::Simulation sim(nodes, topo, cfg);
-  return sim.run();
-}
-
-void expect_identical(const proto::SimResult& a, const proto::SimResult& b) {
-  EXPECT_EQ(a.measured_window, b.measured_window);
-  EXPECT_EQ(a.groupput, b.groupput);
-  EXPECT_EQ(a.anyput, b.anyput);
-  EXPECT_EQ(a.avg_power, b.avg_power);
-  EXPECT_EQ(a.listen_fraction, b.listen_fraction);
-  EXPECT_EQ(a.transmit_fraction, b.transmit_fraction);
-  EXPECT_EQ(a.final_eta, b.final_eta);
-  EXPECT_EQ(a.burst_lengths.count(), b.burst_lengths.count());
-  EXPECT_EQ(a.burst_lengths.mean(), b.burst_lengths.mean());
-  EXPECT_EQ(a.latencies.samples(), b.latencies.samples());
-  EXPECT_EQ(a.packets_sent, b.packets_sent);
-  EXPECT_EQ(a.packets_received, b.packets_received);
-  EXPECT_EQ(a.bursts, b.bursts);
-  EXPECT_EQ(a.corrupted_receptions, b.corrupted_receptions);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.state_occupancy, b.state_occupancy);
-}
-
-TEST(HotpathEngines, GridSimulationIsBitIdentical) {
-  // The fig. 6 regime: non-clique grid, energy guard, adaptive multiplier.
-  const std::size_t k = 4;
-  const auto nodes = model::homogeneous(k * k, 10.0, 500.0, 500.0);
-  const auto topo = model::Topology::grid(k, k);
-  proto::SimConfig cfg;
-  cfg.sigma = 0.25;
-  cfg.duration = 5e4;
-  cfg.warmup = 2e4;
-  cfg.seed = 66 + k * k;
-  cfg.energy_guard = true;
-  cfg.initial_energy = 5e5;
-
-  cfg.hotpath_engine = HotpathEngine::kReference;
-  const proto::SimResult ref = run_once(nodes, topo, cfg);
-  cfg.hotpath_engine = HotpathEngine::kOptimized;
-  const proto::SimResult opt = run_once(nodes, topo, cfg);
-  expect_identical(ref, opt);
-  EXPECT_GT(opt.events_processed, 0u);
-  // The optimized engine answers counts without scanning; the reference
-  // engine scans on every query.
-  EXPECT_EQ(opt.hotpath_stats.listener_scans, 0u);
-  EXPECT_EQ(ref.hotpath_stats.listener_scans,
-            ref.hotpath_stats.listener_queries);
-}
-
-TEST(HotpathEngines, CliqueSimulationIsBitIdentical) {
-  const auto nodes = model::homogeneous(6, 10.0, 500.0, 500.0);
-  const auto topo = model::Topology::clique(6);
-  for (const auto mode : {model::Mode::kGroupput, model::Mode::kAnyput}) {
-    proto::SimConfig cfg;
-    cfg.mode = mode;
-    cfg.sigma = 0.5;
-    cfg.duration = 3e4;
-    cfg.seed = 21;
-    cfg.track_state_occupancy = true;
-    cfg.hotpath_engine = HotpathEngine::kReference;
-    const proto::SimResult ref = run_once(nodes, topo, cfg);
-    cfg.hotpath_engine = HotpathEngine::kOptimized;
-    const proto::SimResult opt = run_once(nodes, topo, cfg);
-    expect_identical(ref, opt);
+// The simulator serves λ_lx from rows filled by fill_listen_to_transmit_row
+// on every η update; results stay bit-identical only if every row entry
+// equals the per-call expression exactly, for every count the row covers.
+TEST(RateRowMemo, FillRowMatchesPerCallBitForBit) {
+  const std::size_t width = 101;  // counts 0..100: a clique of N = 101
+  for (const auto variant :
+       {proto::Variant::kCapture, proto::Variant::kNonCapture}) {
+    for (const auto mode : {model::Mode::kGroupput, model::Mode::kAnyput}) {
+      for (const double sigma : {0.1, 0.25, 0.5, 0.75}) {
+        const proto::RateController rates(500.0, 750.0, sigma, variant, mode);
+        for (const double eta :
+             {0.0, 1e-6, 0.003, 0.0125, 0.4, 2.5, -0.002, 37.0}) {
+          std::vector<double> row(width,
+                                  std::numeric_limits<double>::quiet_NaN());
+          rates.fill_listen_to_transmit_row(eta, row.data(), width);
+          for (std::size_t c = 0; c < width; ++c) {
+            const double expected = rates.listen_to_transmit(
+                eta, static_cast<double>(c), /*channel_idle=*/true);
+            // EXPECT_EQ on the bit patterns: -0.0 vs 0.0 or a different
+            // NaN payload would be a result-byte difference too.
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(row[c]),
+                      std::bit_cast<std::uint64_t>(expected))
+                << "variant " << static_cast<int>(variant) << " mode "
+                << static_cast<int>(mode) << " sigma " << sigma << " eta "
+                << eta << " c " << c << ": " << row[c] << " vs " << expected;
+          }
+        }
+      }
+    }
   }
-}
-
-TEST(HotpathEngines, DegradedEstimatorSimulationIsBitIdentical) {
-  // Binomial thinning draws RNG per estimate — the memoized listen/transmit
-  // rates must key on the estimate path's inputs identically.
-  const auto nodes = model::homogeneous(9, 10.0, 500.0, 500.0);
-  const auto topo = model::Topology::grid(3, 3);
-  proto::SimConfig cfg;
-  cfg.sigma = 0.5;
-  cfg.duration = 3e4;
-  cfg.seed = 5;
-  cfg.estimator.kind = proto::EstimatorKind::kBinomialThinning;
-  cfg.estimator.detect_prob = 0.7;
-  cfg.hotpath_engine = HotpathEngine::kReference;
-  const proto::SimResult ref = run_once(nodes, topo, cfg);
-  cfg.hotpath_engine = HotpathEngine::kOptimized;
-  const proto::SimResult opt = run_once(nodes, topo, cfg);
-  expect_identical(ref, opt);
-}
-
-TEST(HotpathEngines, TokensRoundTrip) {
-  EXPECT_EQ(to_token(HotpathEngine::kReference), "reference");
-  EXPECT_EQ(to_token(HotpathEngine::kOptimized), "optimized");
-  EXPECT_EQ(hotpath_engine_from_token("reference"), HotpathEngine::kReference);
-  EXPECT_EQ(hotpath_engine_from_token("optimized"), HotpathEngine::kOptimized);
-  EXPECT_THROW(hotpath_engine_from_token("fast"), std::invalid_argument);
-  EXPECT_THROW(hotpath_engine_from_token(""), std::invalid_argument);
 }
 
 // -------------------------------------------------------------- estimator --
@@ -316,23 +241,6 @@ TEST(Estimator, RejectsCorruptedKind) {
   proto::EstimatorConfig cfg;
   cfg.kind = static_cast<proto::EstimatorKind>(250);
   EXPECT_THROW(proto::ListenerEstimator{cfg}, std::invalid_argument);
-}
-
-// ----------------------------------------------------------- stats extras --
-
-TEST(HotpathStats, CollectedOnSimResultAndArenaBacked) {
-  const auto nodes = model::homogeneous(9, 10.0, 500.0, 500.0);
-  const auto topo = model::Topology::grid(3, 3);
-  proto::SimConfig cfg;
-  cfg.sigma = 0.5;
-  cfg.duration = 2e4;
-  cfg.seed = 9;
-  const proto::SimResult r = run_once(nodes, topo, cfg);
-  EXPECT_GT(r.hotpath_stats.listener_queries, 0u);
-  EXPECT_GT(r.hotpath_stats.listen_toggles, 0u);
-  EXPECT_GT(r.hotpath_stats.toggle_drains, 0u);
-  EXPECT_GT(r.hotpath_stats.arena_bytes, 0u);
-  EXPECT_GT(r.hotpath_stats.arena_chunks, 0u);
 }
 
 }  // namespace

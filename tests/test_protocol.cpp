@@ -1,8 +1,7 @@
 // Tests for the protocol-agnostic simulation API: registry contents and
 // error handling, adapter equivalence against the direct module calls (same
-// seed → bit-identical values, which is what keeps the deprecated shims and
-// the registry path interchangeable), network-requirement validation, and
-// the sweep-axis specialization helper.
+// seed → bit-identical values), network-requirement validation, and the
+// sweep-axis specialization helper.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -134,61 +133,7 @@ TEST(ProtocolAdapters, EconCastMatchesDirectSimulation) {
             static_cast<double>(expected.bursts));
 }
 
-TEST(ProtocolAdapters, QueueStatsExtrasAreOptIn) {
-  proto::SimConfig cfg;
-  cfg.sigma = 0.5;
-  cfg.duration = 5e3;
-
-  // Default: no queue_* extras, so existing outputs stay byte-identical.
-  const SimResult quiet = run_spec(protocol::econcast_spec(cfg), paper_nodes(),
-                                   model::Topology::clique(5), /*seed=*/11);
-  EXPECT_EQ(quiet.extras.count("queue_pushes"), 0u);
-  EXPECT_EQ(quiet.extras.count("queue_stale_drops"), 0u);
-
-  cfg.report_queue_stats = true;
-  const SimResult loud = run_spec(protocol::econcast_spec(cfg), paper_nodes(),
-                                  model::Topology::clique(5), /*seed=*/11);
-  EXPECT_GT(loud.extra("queue_pushes"), 0.0);
-  EXPECT_GT(loud.extra("queue_pops"), 0.0);
-  EXPECT_GT(loud.extra("queue_peak_live"), 0.0);
-  // Conservation: everything popped or pruned was pushed first.
-  EXPECT_GE(loud.extra("queue_pushes"),
-            loud.extra("queue_pops") + loud.extra("queue_stale_drops"));
-  // The flag changes reporting, not the simulation.
-  EXPECT_EQ(loud.groupput, quiet.groupput);
-  EXPECT_EQ(loud.packets_sent, quiet.packets_sent);
-
-  // Same opt-in contract for the firmware protocol.
-  protocol::TestbedParams testbed;
-  testbed.duration_ms = 10.0 * 60.0 * 1000.0;
-  testbed.warmup_ms = 60.0 * 1000.0;
-  testbed.report_queue_stats = true;
-  const SimResult firmware =
-      run_spec(protocol::testbed_spec(testbed),
-               model::homogeneous(5, 1.0, 52.2, 55.4),
-               model::Topology::clique(5), /*seed=*/3);
-  EXPECT_GT(firmware.extra("queue_pushes"), 0.0);
-}
-
-TEST(ProtocolAdapters, QueueEngineCannotChangeResults) {
-  proto::SimConfig cfg;
-  cfg.sigma = 0.5;
-  cfg.duration = 2e4;
-  cfg.queue_engine = sim::QueueEngine::kCalendar;
-  protocol::ProtocolSpec spec = protocol::econcast_spec(cfg);
-  const SimResult calendar = run_spec(spec, paper_nodes(),
-                                      model::Topology::clique(5), /*seed=*/5);
-  protocol::set_queue_engine(spec, sim::QueueEngine::kBinaryHeap);
-  const SimResult heap = run_spec(spec, paper_nodes(),
-                                  model::Topology::clique(5), /*seed=*/5);
-  EXPECT_EQ(calendar.groupput, heap.groupput);
-  EXPECT_EQ(calendar.packets_sent, heap.packets_sent);
-  EXPECT_EQ(calendar.latencies.samples(), heap.latencies.samples());
-  EXPECT_EQ(calendar.extra("events_processed"),
-            heap.extra("events_processed"));
-}
-
-TEST(ProtocolAdapters, PandaSimulationMatchesDeprecatedShim) {
+TEST(ProtocolAdapters, PandaSimulationMatchesDetailedSimulation) {
   protocol::PandaParams params;
   params.optimize = false;
   params.wake_rate = 0.01;
@@ -198,17 +143,18 @@ TEST(ProtocolAdapters, PandaSimulationMatchesDeprecatedShim) {
   const SimResult via_registry =
       run_spec(protocol::panda_spec(params), paper_nodes(),
                model::Topology::clique(5), /*seed=*/5);
-  const baselines::PandaSimResult shim =
-      baselines::simulate_panda(5, 0.01, 1.0, 500.0, 500.0, 1e5, 5);
-  EXPECT_EQ(via_registry.packets_sent, shim.packets);
-  EXPECT_EQ(via_registry.packets_received, shim.receptions);
-  EXPECT_EQ(via_registry.groupput, shim.groupput);
-  double mean_power = 0.0;
-  for (const double p : via_registry.avg_power) mean_power += p;
-  mean_power /= 5.0;
-  EXPECT_NEAR(mean_power, shim.avg_power, 1e-12);
+  const baselines::PandaSimDetail d =
+      baselines::simulate_panda_detailed(5, 0.01, 1.0, 1e5, 5);
+  EXPECT_EQ(via_registry.packets_sent, d.packets);
+  EXPECT_EQ(via_registry.packets_received, d.receptions);
+  EXPECT_EQ(via_registry.groupput, static_cast<double>(d.receptions) / 1e5);
+  ASSERT_EQ(via_registry.avg_power.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i)
+    EXPECT_NEAR(via_registry.avg_power[i],
+                (d.listen_time[i] * 500.0 + d.transmit_time[i] * 500.0) / 1e5,
+                1e-12);
   EXPECT_GE(via_registry.anyput * 1e5,
-            static_cast<double>(shim.receptions) / 5.0);
+            static_cast<double>(d.receptions) / 5.0);
 }
 
 TEST(ProtocolAdapters, PandaAnalyticMatchesOptimizer) {
@@ -224,7 +170,7 @@ TEST(ProtocolAdapters, PandaAnalyticMatchesOptimizer) {
   EXPECT_EQ(via_registry.extra("listen_window"), design.listen_window);
 }
 
-TEST(ProtocolAdapters, BirthdaySimulationMatchesDeprecatedShim) {
+TEST(ProtocolAdapters, BirthdaySimulationMatchesDetailedSimulation) {
   protocol::BirthdayParams params;
   params.optimize = false;
   params.p_transmit = 0.01;
@@ -234,12 +180,10 @@ TEST(ProtocolAdapters, BirthdaySimulationMatchesDeprecatedShim) {
   const SimResult via_registry =
       run_spec(protocol::birthday_spec(params), paper_nodes(),
                model::Topology::clique(5), /*seed=*/9);
-  EXPECT_EQ(via_registry.groupput,
-            baselines::simulate_birthday(5, 0.01, 0.01,
-                                         model::Mode::kGroupput, 200000, 9));
-  EXPECT_EQ(via_registry.anyput,
-            baselines::simulate_birthday(5, 0.01, 0.01, model::Mode::kAnyput,
-                                         200000, 9));
+  const baselines::BirthdaySimDetail d =
+      baselines::simulate_birthday_detailed(5, 0.01, 0.01, 200000, 9);
+  EXPECT_EQ(via_registry.groupput, d.groupput_credit / 200000.0);
+  EXPECT_EQ(via_registry.anyput, d.anyput_credit / 200000.0);
 }
 
 TEST(ProtocolAdapters, BirthdayAnalyticMatchesOptimizer) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "protocol/protocol_json.h"
+#include "runner/cell_cache.h"
 #include "runner/manifest.h"
 #include "runner/scenario_runner.h"
 #include "runner/sweep_session.h"
@@ -433,60 +434,81 @@ TEST(ManifestJson, ManifestFileRoundTrips) {
             json::dump(runner::to_json(manifest)));
 }
 
-TEST(ManifestJson, QueueEngineOverrideRoundTripsAndValidates) {
-  const fs::path dir = test_dir();
-  runner::SweepManifest manifest(small_sweep(), 4242, true);
-  manifest.queue_engine = "calendar";
-  const std::string path = (dir / "cal.manifest.json").string();
-  runner::write_manifest(manifest, path);
-  EXPECT_EQ(runner::load_manifest(path).queue_engine, "calendar");
+TEST(ManifestJson, LegacyExecutionPolicyFieldsAreIgnored) {
+  // Older builds wrote execution policy into scenario data: engine tokens
+  // and telemetry switches in the EconCast and testbed params, engine
+  // overrides in the runner object. Such a manifest must still load, and
+  // must run — and key its cells — exactly like the same manifest without
+  // those fields.
+  proto::SimConfig cfg;
+  cfg.duration = 4e3;
+  cfg.warmup = 5e2;
+  protocol::TestbedParams testbed;
+  testbed.duration_ms = 10.0 * 60.0 * 1000.0;
+  testbed.warmup_ms = 60.0 * 1000.0;
+  const runner::SweepManifest manifest(
+      runner::SweepSpec("legacy")
+          .protocols({protocol::econcast_spec(cfg),
+                      protocol::testbed_spec(testbed)})
+          .node_counts({3, 4})
+          .powers({{1.0, 52.2, 55.4}})
+          .sigmas({0.25, 0.5}),
+      7, true);
 
-  // Unset: the runner object carries no queue_engine key at all.
-  runner::SweepManifest plain(small_sweep(), 4242, true);
-  EXPECT_EQ(runner::to_json(plain)
-                .as_object()
-                .at("runner")
-                .as_object()
-                .find("queue_engine"),
-            nullptr);
-
-  // Bad tokens die at the write and at the parse, offender named.
-  runner::SweepManifest bad(small_sweep(), 4242, true);
-  bad.queue_engine = "fibonacci";
-  EXPECT_THROW(runner::to_json(bad), json::Error);
   std::string text = json::dump(runner::to_json(manifest));
-  const std::string needle = "\"calendar\"";  // only the runner override
-  const std::size_t at = text.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, needle.size(), "\"fibonacci\"");
-  EXPECT_THROW(runner::manifest_from_json(json::parse(text)), json::Error);
+  const auto inject = [&text](const std::string& anchor,
+                              const std::string& members) {
+    const std::size_t at = text.find(anchor);
+    ASSERT_NE(at, std::string::npos) << anchor;
+    ASSERT_EQ(text.find(anchor, at + 1), std::string::npos) << anchor;
+    text.insert(at + anchor.size(), members);
+  };
+  inject("\"track_state_occupancy\":false",
+         ",\"queue_engine\":\"calendar\",\"report_queue_stats\":true,"
+         "\"hotpath_engine\":\"reference\",\"report_hotpath_stats\":true");
+  inject("\"observer\":true",
+         ",\"queue_engine\":\"calendar\",\"report_queue_stats\":true");
+  inject("\"reseed\":true",
+         ",\"queue_engine\":\"calendar\",\"hotpath_engine\":\"reference\"");
+  ASSERT_EQ(json::parse(text).at("schema_version").as_number(), 2.0);
+
+  const fs::path dir = test_dir();
+  const std::string legacy_path = (dir / "legacy.manifest.json").string();
+  {
+    std::ofstream out(legacy_path, std::ios::binary);
+    out << text << "\n";
+  }
+  const runner::SweepManifest legacy = runner::load_manifest(legacy_path);
+  // The fields are dropped on load: the manifest re-serializes without them.
+  EXPECT_EQ(json::dump(runner::to_json(legacy)),
+            json::dump(runner::to_json(manifest)));
+
+  const runner::CellCache cache((dir / "cache").string());
+  const std::vector<runner::Scenario> cells =
+      runner::expand_with_overrides(manifest);
+  const std::vector<runner::Scenario> legacy_cells =
+      runner::expand_with_overrides(legacy);
+  ASSERT_EQ(legacy_cells.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(
+        json::dump(cache.cell_key(
+            legacy_cells[i],
+            runner::manifest_cell_seed(legacy, legacy_cells[i], i))),
+        json::dump(cache.cell_key(
+            cells[i], runner::manifest_cell_seed(manifest, cells[i], i))))
+        << "cell " << i;
+  }
+
+  runner::SweepSession(manifest, (dir / "plain.jsonl").string()).run();
+  runner::SweepSession(legacy, (dir / "legacy.jsonl").string()).run();
+  const std::string plain_bytes = slurp(dir / "plain.jsonl");
+  EXPECT_EQ(slurp(dir / "legacy.jsonl"), plain_bytes);
+  // No queue or hot-path telemetry reaches the result bytes.
+  EXPECT_EQ(plain_bytes.find("queue_"), std::string::npos);
+  EXPECT_EQ(plain_bytes.find("hotpath_"), std::string::npos);
 }
 
 // -------------------------------------------------------------- SweepSession --
-
-TEST(SweepSession, QueueEngineOverrideResultsAreByteIdentical) {
-  // The whole point of the determinism contract: the same manifest run
-  // under either backend — or checkpointed under one and resumed under the
-  // other — produces byte-identical results files.
-  const fs::path dir = test_dir();
-  runner::SweepManifest manifest(small_sweep(), 7, true);
-  runner::SweepSession heap(manifest, (dir / "heap.jsonl").string());
-  heap.run();
-
-  manifest.queue_engine = "calendar";
-  runner::SweepSession calendar(manifest, (dir / "cal.jsonl").string());
-  calendar.run();
-  EXPECT_EQ(slurp(dir / "heap.jsonl"), slurp(dir / "cal.jsonl"));
-
-  // Checkpoint 5 cells under the calendar, resume under the heap.
-  runner::SweepSession first(manifest, (dir / "mixed.jsonl").string());
-  first.run(5);
-  manifest.queue_engine = "binary-heap";
-  runner::SweepSession resumed(manifest, (dir / "mixed.jsonl").string());
-  EXPECT_EQ(resumed.completed_cells(), 5u);
-  resumed.run();
-  EXPECT_EQ(slurp(dir / "heap.jsonl"), slurp(dir / "mixed.jsonl"));
-}
 
 TEST(SweepSession, UninterruptedRunCompletesAndAggregates) {
   const fs::path dir = test_dir();

@@ -124,10 +124,10 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
-// The cancellation path: every op re-schedules a node's pending transition
-// (implicitly invalidating the previous one) and pops surface through the
-// stale-pruning filter — the pattern proto::Simulation's schedule_transition
-// produces under carrier-sense resampling.
+// The cancellation path: every op re-schedules a node's pending transition,
+// replacing the slot's live event in place and sifting it to its new
+// position — the pattern proto::Simulation's schedule_transition produces
+// under carrier-sense resampling.
 void BM_EventQueueScheduleCancel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(4048);

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
+#include "sim/event_queue.h"
 #include "util/random.h"
 
 namespace econcast::baselines {
@@ -101,49 +101,34 @@ PandaDesign optimize_panda(std::size_t n, double budget, double listen_power,
   return best;
 }
 
-namespace {
-
-enum class PandaEvent : std::uint8_t { kWake, kWindowExpire, kPacketEnd };
-
-struct Ev {
-  double time;
-  std::uint64_t seq;
-  PandaEvent kind;
-  std::uint32_t node;
-  std::uint64_t stamp;
-  bool operator<(const Ev& o) const {
-    if (time != o.time) return time > o.time;  // min-heap via operator<
-    return seq > o.seq;
-  }
-};
-
-}  // namespace
-
 PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
                                        double listen_window, double duration,
                                        std::uint64_t seed) {
   if (n < 2 || wake_rate <= 0.0 || listen_window <= 0.0)
     throw std::invalid_argument("panda sim: bad parameters");
+  using sim::EventKind;
   util::Rng rng(seed);
   enum class S : std::uint8_t { kSleep, kListen, kTransmit };
   std::vector<S> state(n, S::kSleep);
-  std::vector<std::uint64_t> stamp(n, 0);
   std::vector<std::uint8_t> locked(n, 0);  // receiving the current packet
   std::vector<double> state_since(n, 0.0);
   std::vector<double> listen_time(n, 0.0), transmit_time(n, 0.0);
   int transmitter = -1;
 
-  std::priority_queue<Ev> q;
-  std::uint64_t seq = 0;
-  auto push = [&](double t, PandaEvent k, std::size_t i, std::uint64_t st) {
-    q.push(Ev{t, seq++, k, static_cast<std::uint32_t>(i), st});
+  // A node has at most one pending timer in its kTransition slot: the
+  // wake-up while asleep, the window expiry while listening. Scheduling the
+  // next wake-up therefore replaces a pending expiry.
+  sim::EventQueue q;
+  q.reserve_for_nodes(n);
+  double now = 0.0;
+  auto schedule_wake = [&](std::size_t i) {
+    q.schedule(now + rng.exponential(wake_rate), EventKind::kTransition,
+               static_cast<sim::NodeId>(i));
   };
-  for (std::size_t i = 0; i < n; ++i)
-    push(rng.exponential(wake_rate), PandaEvent::kWake, i, stamp[i]);
+  for (std::size_t i = 0; i < n; ++i) schedule_wake(i);
 
   PandaSimDetail result;
   result.duration = duration;
-  double now = 0.0;
   auto set_state = [&](std::size_t i, S next) {
     const double dt = now - state_since[i];
     if (state[i] == S::kListen) listen_time[i] += dt;
@@ -153,53 +138,38 @@ PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
   };
 
   while (!q.empty() && q.top().time <= duration) {
-    const Ev e = q.top();
-    q.pop();
+    const sim::Event e = q.pop();
     now = e.time;
     const std::size_t i = e.node;
-    switch (e.kind) {
-      case PandaEvent::kWake:
-        if (e.stamp != stamp[i]) break;
-        set_state(i, S::kListen);
-        push(now + listen_window, PandaEvent::kWindowExpire, i, stamp[i]);
-        break;
-      case PandaEvent::kWindowExpire:
-        if (e.stamp != stamp[i] || state[i] != S::kListen) break;
-        if (transmitter >= 0) {
-          // Woke into an ongoing packet it cannot decode: abort and sleep.
-          set_state(i, S::kSleep);
-          ++stamp[i];
-          push(now + rng.exponential(wake_rate), PandaEvent::kWake, i,
-               stamp[i]);
-        } else {
-          set_state(i, S::kTransmit);
-          transmitter = static_cast<int>(i);
-          ++result.packets;
-          for (std::size_t j = 0; j < n; ++j)
-            if (state[j] == S::kListen) locked[j] = 1;  // hears packet start
-          push(now + 1.0, PandaEvent::kPacketEnd, i, 0);
+    if (e.kind == EventKind::kPacketEnd) {
+      transmitter = -1;
+      bool delivered = false;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (locked[j]) {
+          locked[j] = 0;
+          ++result.receptions;
+          delivered = true;
+          set_state(j, S::kSleep);
+          schedule_wake(j);
         }
-        break;
-      case PandaEvent::kPacketEnd: {
-        transmitter = -1;
-        bool delivered = false;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (locked[j]) {
-            locked[j] = 0;
-            ++result.receptions;
-            delivered = true;
-            set_state(j, S::kSleep);
-            ++stamp[j];
-            push(now + rng.exponential(wake_rate), PandaEvent::kWake, j,
-                 stamp[j]);
-          }
-        }
-        if (delivered) ++result.packets_received_any;
-        set_state(i, S::kSleep);
-        ++stamp[i];
-        push(now + rng.exponential(wake_rate), PandaEvent::kWake, i, stamp[i]);
-        break;
       }
+      if (delivered) ++result.packets_received_any;
+      set_state(i, S::kSleep);
+      schedule_wake(i);
+    } else if (state[i] == S::kSleep) {  // wake-up
+      set_state(i, S::kListen);
+      q.schedule(now + listen_window, EventKind::kTransition, e.node);
+    } else if (transmitter >= 0) {  // window expired mid-packet
+      // Woke into an ongoing packet it cannot decode: abort and sleep.
+      set_state(i, S::kSleep);
+      schedule_wake(i);
+    } else {  // window expired on an idle channel
+      set_state(i, S::kTransmit);
+      transmitter = static_cast<int>(i);
+      ++result.packets;
+      for (std::size_t j = 0; j < n; ++j)
+        if (state[j] == S::kListen) locked[j] = 1;  // hears packet start
+      q.push(now + 1.0, EventKind::kPacketEnd, e.node);
     }
   }
   now = duration;

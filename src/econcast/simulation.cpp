@@ -180,8 +180,8 @@ void Simulation::set_state(NodeId i, NodeState next) {
 
 void Simulation::schedule_transition(NodeId i) {
   // Any previously scheduled transition / energy-guard event for this node
-  // is obsolete the moment we re-sample; the queue invalidates them in
-  // O(1) and prunes lazily (schedule() below re-arms its own slot).
+  // is obsolete the moment we re-sample; the queue removes them (schedule()
+  // below re-arms its own slot).
   invalidate_transition(i);
   const bool idle = !channel_.busy_at(i);
   double rate = 0.0;
@@ -384,7 +384,7 @@ SimResult Simulation::run() {
     ++events_processed_;
     switch (e.kind) {
       case EventKind::kTransition:
-        fire_transition(e.node);  // cancelled events never leave the queue
+        fire_transition(e.node);  // cancelled events are never popped
         break;
       case EventKind::kPacketEnd:
         handle_packet_end(e.node);

@@ -100,8 +100,8 @@ struct SimResult {
   std::uint64_t packets_received = 0;
   std::uint64_t bursts = 0;
   std::uint64_t corrupted_receptions = 0;
-  /// Live events handled by the main loop (cancelled events the queue
-  /// pruned are counted separately, in queue_stats.stale_drops).
+  /// Events handled by the main loop (cancelled events never reach it;
+  /// they are counted in queue_stats.cancels).
   std::uint64_t events_processed = 0;
 
   /// Event-queue instrumentation (always collected — it is a handful of
@@ -148,7 +148,7 @@ class Simulation {
   void schedule_transition(sim::NodeId i);
   /// Cancels the node's pending rate-driven events (the next transition and
   /// any energy-guard wake-up/watchdog). Cancellation is owned by the event
-  /// queue; the stale entries are pruned lazily in pop order.
+  /// queue, which removes the pending events outright.
   void invalidate_transition(sim::NodeId i) {
     queue_.cancel(i, sim::EventKind::kTransition);
     queue_.cancel(i, sim::EventKind::kEnergyDepleted);

@@ -1,9 +1,12 @@
-// Tests for the prior-art baselines: Birthday, Panda (model vs simulation),
-// and Searchlight (incl. the paper's 125 s worst-case latency).
+// Tests for the prior-art baselines: Birthday, Panda (model vs simulation,
+// and the simulator's exact output), and Searchlight (incl. the paper's
+// 125 s worst-case latency).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "baselines/birthday.h"
 #include "baselines/panda.h"
@@ -141,6 +144,57 @@ TEST(Panda, SimDeterministicPerSeed) {
   EXPECT_EQ(a.receptions, b.receptions);
   EXPECT_EQ(a.listen_time, b.listen_time);
   EXPECT_EQ(a.transmit_time, b.transmit_time);
+}
+
+struct PandaGolden {
+  std::size_t n;
+  double wake_rate;
+  double listen_window;
+  double duration;
+  std::uint64_t seed;
+  std::uint64_t packets;
+  std::uint64_t receptions;
+  std::uint64_t packets_received_any;
+  std::vector<double> listen_time;
+  std::vector<double> transmit_time;
+};
+
+TEST(Panda, SimGoldenBitForBit) {
+  // The simulator's exact output on three configurations: the optimized
+  // N = 5 design (w < 1 packet), N = 12 with w < 1, and N = 3 with a window
+  // longer than a packet. Any change to the event handling, the event order
+  // or the RNG draw order shows up here.
+  const PandaDesign d = optimize_panda(5, 10.0, 500.0, 500.0);
+  ASSERT_EQ(d.wake_rate, 0x1.6079eacb07b3ap-7);
+  ASSERT_EQ(d.listen_window, 0x1.e86f6b650751cp-1);
+  const PandaGolden goldens[] = {
+      {5, d.wake_rate, d.listen_window, 3e6, 21, 151276, 6129, 6036,
+       {0x1.d1c6cfdc1bb35p+14, 0x1.d5352c6c3929ep+14, 0x1.d592cb8eccdb3p+14,
+        0x1.d78a7fe5688b1p+14, 0x1.da9b1201e8abep+14},
+       {0x1.d37p+14, 0x1.d7dp+14, 0x1.d848p+14, 0x1.da68p+14, 0x1.ddcp+14}},
+      {12, 0.02, 0.6, 2e5, 7, 38510, 5004, 4701,
+       {0x1.24f237b5d0c73p+11, 0x1.27c10327fee28p+11, 0x1.203054a8fe52p+11,
+        0x1.22b5860b1ca1ep+11, 0x1.25c5db941ac31p+11, 0x1.24ed24a9a54fcp+11,
+        0x1.266ceac2ff58ap+11, 0x1.27cda9243b6ccp+11, 0x1.20826cbf1c1adp+11,
+        0x1.28bb14f5f4edep+11, 0x1.20bc1789db5d3p+11, 0x1.20d333333aaa3p+11},
+       {0x1.9a6p+11, 0x1.99p+11, 0x1.888p+11, 0x1.8e6p+11, 0x1.8fp+11,
+        0x1.908p+11, 0x1.932p+11, 0x1.94ap+11, 0x1.8c2p+11, 0x1.9a6p+11,
+        0x1.8a8p+11, 0x1.8b4p+11}},
+      {3, 0.05, 2.5, 1e5, 5, 10497, 2424, 2288,
+       {0x1.44d01ede3c4eap+13, 0x1.40d0464a3e12p+13, 0x1.4a7c2edfc33d2p+13},
+       {0x1.b2ep+11, 0x1.af4p+11, 0x1.bep+11}},
+  };
+  for (const PandaGolden& g : goldens) {
+    SCOPED_TRACE("n=" + std::to_string(g.n) + " seed=" +
+                 std::to_string(g.seed));
+    const PandaSimDetail s = simulate_panda_detailed(
+        g.n, g.wake_rate, g.listen_window, g.duration, g.seed);
+    EXPECT_EQ(s.packets, g.packets);
+    EXPECT_EQ(s.receptions, g.receptions);
+    EXPECT_EQ(s.packets_received_any, g.packets_received_any);
+    EXPECT_EQ(s.listen_time, g.listen_time);  // exact double equality
+    EXPECT_EQ(s.transmit_time, g.transmit_time);
+  }
 }
 
 // ------------------------------------------------------------- searchlight --

@@ -1,10 +1,12 @@
-// The event queue: ordering, cancellation semantics, stale-drop
-// accounting, compaction, the shared reserve_for_nodes capacity policy, and
-// a randomized differential test against a trivially correct eager-deletion
-// model of the same contract (std::map keyed on (time, seq)).
+// The event queue: ordering, cancellation semantics, counter accounting,
+// the shared reserve_for_nodes capacity policy, and a randomized
+// differential test against a trivially correct eager-deletion model of the
+// same contract (std::map keyed on (time, seq)).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -38,70 +40,103 @@ TEST(EventQueue, OrdersByTimeThenSeq) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, StaleDropAccounting) {
+/// The counter identity that holds after every queue call.
+void expect_accounted(const EventQueue& q) {
+  EXPECT_EQ(q.stats().pushes, q.stats().pops + q.stats().cancels + q.size());
+}
+
+TEST(EventQueue, CancelAccounting) {
   EventQueue q;
   q.schedule(1.0, EventKind::kTransition, 0);
+  expect_accounted(q);
   q.schedule(2.0, EventKind::kTransition, 0);  // replaces the first
+  expect_accounted(q);
   q.schedule(3.0, EventKind::kEnergyDepleted, 0);
+  expect_accounted(q);
   q.cancel(0, EventKind::kEnergyDepleted);
+  expect_accounted(q);
+  q.cancel(0, EventKind::kEnergyDepleted);  // nothing left to cancel
+  expect_accounted(q);
   q.push(4.0, EventKind::kPacketEnd, 0);
+  expect_accounted(q);
+  EXPECT_EQ(q.size(), 2u);
   EXPECT_DOUBLE_EQ(q.pop().time, 2.0);
+  expect_accounted(q);
   EXPECT_DOUBLE_EQ(q.pop().time, 4.0);
+  expect_accounted(q);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.stats().pushes, 4u);
   EXPECT_EQ(q.stats().pops, 2u);
-  EXPECT_EQ(q.stats().stale_drops, 2u);
-  EXPECT_EQ(q.stats().peak_live, 4u);
+  EXPECT_EQ(q.stats().cancels, 2u);
+  EXPECT_EQ(q.stats().peak_live, 2u);
 }
 
 TEST(EventQueue, EmptyPopAndTopThrow) {
   EventQueue q;
   EXPECT_THROW(q.pop(), std::logic_error);
   EXPECT_THROW(q.top(), std::logic_error);
-  // A fully cancelled queue is empty too, and pop still throws after the
-  // stale entries are pruned.
+  // A fully cancelled queue is empty too.
   q.schedule(1.0, EventKind::kTransition, 0);
   q.cancel(0, EventKind::kTransition);
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
   EXPECT_THROW(q.pop(), std::logic_error);
-  EXPECT_EQ(q.stats().stale_drops, 1u);
+  EXPECT_EQ(q.stats().cancels, 1u);
 }
 
-TEST(EventQueue, TopPrunesButDoesNotConsume) {
+TEST(EventQueue, TopIsConstAndRepeatable) {
   EventQueue q;
   q.schedule(1.0, EventKind::kTransition, 0);
   q.schedule(2.0, EventKind::kTransition, 0);
-  EXPECT_DOUBLE_EQ(q.top().time, 2.0);
-  EXPECT_EQ(q.stats().stale_drops, 1u);  // pruned while peeking
-  EXPECT_DOUBLE_EQ(q.top().time, 2.0);
+  q.push(3.0, EventKind::kPacketEnd, 1);
+  const EventQueue& view = q;
+  EXPECT_FALSE(view.empty());
+  EXPECT_DOUBLE_EQ(view.top().time, 2.0);
+  EXPECT_DOUBLE_EQ(view.top().time, 2.0);
+  EXPECT_EQ(view.size(), 2u);
+  EXPECT_EQ(view.stats().pops, 0u);
   EXPECT_DOUBLE_EQ(q.pop().time, 2.0);
+  EXPECT_DOUBLE_EQ(view.top().time, 3.0);
   EXPECT_EQ(q.stats().pops, 1u);
 }
 
-TEST(EventQueue, ClearEmptiesAndQueueRemainsUsable) {
+TEST(EventQueue, CancelInvalidatesOnlyItsSlot) {
   EventQueue q;
-  for (int i = 0; i < 100; ++i)
-    q.push(static_cast<double>(100 - i), EventKind::kCustom, 0);
-  q.clear();
+  q.schedule(1.0, EventKind::kTransition, 4);
+  q.schedule(2.0, EventKind::kEnergyDepleted, 4);
+  q.schedule(3.0, EventKind::kTransition, 5);
+  q.cancel(4, EventKind::kTransition);
+  EXPECT_EQ(q.pop().kind, EventKind::kEnergyDepleted);
+  EXPECT_EQ(q.pop().node, 5u);
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  q.push(7.0, EventKind::kCustom, 3);
-  EXPECT_DOUBLE_EQ(q.pop().time, 7.0);
+}
+
+TEST(EventQueue, DurablePushIsNotCancellable) {
+  EventQueue q;
+  q.push(1.0, EventKind::kPacketEnd, 4);
+  q.cancel(4, EventKind::kPacketEnd);
+  ASSERT_FALSE(q.empty());
+  EXPECT_EQ(q.pop().kind, EventKind::kPacketEnd);
 }
 
 TEST(EventQueue, ReserveForNodesAppliesSharedPolicy) {
   EventQueue q;
   q.reserve_for_nodes(100);
-  EXPECT_GE(q.capacity(), EventQueue::capacity_for_nodes(100));
   EXPECT_EQ(EventQueue::capacity_for_nodes(100), 408u);
+  EXPECT_TRUE(q.empty());
+  // Slots past the reserved nodes still work: the index grows on demand.
+  q.schedule(2.0, EventKind::kCustom, 99);
+  q.schedule(1.0, EventKind::kTransition, 250);
+  q.cancel(400, EventKind::kTransition);  // never scheduled: a no-op
+  EXPECT_EQ(q.pop().node, 250u);
+  EXPECT_EQ(q.pop().node, 99u);
+  EXPECT_EQ(q.stats().cancels, 0u);
 }
 
-TEST(EventQueue, CompactionBoundsStaleAccumulation) {
-  // A sleeping node's far-future wake-up superseded over and over: pure
-  // lazy deletion would store every stale copy until the end of time (the
-  // fig. 6 workload peaks at ~500x the live population). Compaction must
-  // keep the stored count within a small multiple of the live count while
-  // preserving the live events and the conservation identity.
+TEST(EventQueue, ReschedulesStoreOnlyLiveEvents) {
+  // A sleeping node's far-future wake-up superseded over and over (the
+  // fig. 6 pattern): every reschedule replaces the slot's entry in place,
+  // so the queue holds exactly the live events throughout.
   EventQueue q;
   const std::uint32_t n = 8;
   q.reserve_for_nodes(n);
@@ -110,9 +145,9 @@ TEST(EventQueue, CompactionBoundsStaleAccumulation) {
       q.schedule(1e9 + static_cast<double>(round * n + node),
                  EventKind::kTransition, node);
   q.push(0.5, EventKind::kPacketEnd, 0);
-  // 8 live wake-ups + 1 durable event; anything near 32001 means stale
-  // copies survived.
-  EXPECT_LE(q.size(), 2u * (n + 1) + 64u);
+  EXPECT_EQ(q.size(), n + 1u);
+  EXPECT_EQ(q.stats().peak_live, n + 1u);
+  expect_accounted(q);
   EXPECT_DOUBLE_EQ(q.pop().time, 0.5);
   for (std::uint32_t node = 0; node < n; ++node) {
     const Event e = q.pop();
@@ -120,8 +155,7 @@ TEST(EventQueue, CompactionBoundsStaleAccumulation) {
     EXPECT_DOUBLE_EQ(e.time, 1e9 + static_cast<double>(3999 * n + node));
   }
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.stats().pushes,
-            q.stats().pops + q.stats().stale_drops);
+  expect_accounted(q);
 }
 
 TEST(EventQueue, ManySimultaneousEventsPopInPushOrder) {
@@ -168,20 +202,23 @@ class DifferentialHarness {
   void push(double time, EventKind kind, std::uint32_t node) {
     queue_.push(time, kind, node);
     model_.emplace(std::make_pair(time, next_seq_),
-                   Event{time, next_seq_, kind, false, node, 0});
+                   Event{time, next_seq_, kind, false, node});
     ++next_seq_;
+    check();
   }
   void schedule(double time, EventKind kind, std::uint32_t node) {
     queue_.schedule(time, kind, node);
     cancel_in_model(node, kind);
     model_.emplace(std::make_pair(time, next_seq_),
-                   Event{time, next_seq_, kind, true, node, 0});
+                   Event{time, next_seq_, kind, true, node});
     scheduled_[{node, kind}] = {time, next_seq_};
     ++next_seq_;
+    check();
   }
   void cancel(std::uint32_t node, EventKind kind) {
     queue_.cancel(node, kind);
     cancel_in_model(node, kind);
+    check();
   }
 
   /// Pops both (expecting both non-empty) and checks the events match;
@@ -198,6 +235,7 @@ class DifferentialHarness {
     EXPECT_EQ(a.node, b.node);
     EXPECT_EQ(a.cancellable, b.cancellable);
     ++pops_;
+    check();
     return a.time;
   }
 
@@ -211,9 +249,9 @@ class DifferentialHarness {
     while (!empty()) pop();
     EXPECT_EQ(queue_.stats().pushes, next_seq_);
     EXPECT_EQ(queue_.stats().pops, pops_);
-    // Drained: every entered event was either handed out or pruned.
+    // Drained: every entered event was either handed out or cancelled.
     EXPECT_EQ(queue_.stats().pushes,
-              queue_.stats().pops + queue_.stats().stale_drops);
+              queue_.stats().pops + queue_.stats().cancels);
   }
 
  private:
@@ -222,6 +260,17 @@ class DifferentialHarness {
     if (it == scheduled_.end()) return;
     model_.erase(it->second);
     scheduled_.erase(it);
+    ++cancels_;
+  }
+
+  /// After every operation: the queue stores exactly the model's live
+  /// events, and its counters match the model's.
+  void check() {
+    peak_ = std::max(peak_, model_.size());
+    EXPECT_EQ(queue_.size(), model_.size());
+    EXPECT_EQ(queue_.stats().cancels, cancels_);
+    EXPECT_EQ(queue_.stats().peak_live, peak_);
+    expect_accounted(queue_);
   }
 
   EventQueue queue_;
@@ -231,6 +280,9 @@ class DifferentialHarness {
       scheduled_;  // live cancellable event per (node, kind) slot
   std::uint64_t next_seq_ = 0;
   std::uint64_t pops_ = 0;
+  std::uint64_t cancels_ = 0;  // live model events erased by (re)scheduling
+                               // or cancelling
+  std::size_t peak_ = 0;
 };
 
 EventKind random_kind(util::Rng& rng) {
@@ -304,7 +356,7 @@ TEST(EventQueueDifferential, BurstsOfSimultaneousSchedules) {
     for (std::uint32_t i = 0; i < 64; ++i)
       q.schedule(t + 0.5, EventKind::kTransition, i);
     for (std::uint32_t i = 0; i < 64; i += 2)
-      q.cancel(i, EventKind::kTransition);  // half become stale
+      q.cancel(i, EventKind::kTransition);  // half are cancelled
     for (int k = 0; k < 40 && !q.empty(); ++k) q.pop();
   }
   q.drain_and_compare();
@@ -323,12 +375,12 @@ TEST(EventQueueInSimulation, CountersReconcile) {
   cfg.initial_energy = 1e4;
   const proto::SimResult r =
       proto::Simulation(nodes, model::Topology::grid(3, 3), cfg).run();
-  // Every live event the main loop handled was popped, and every push was
-  // either handled or pruned (events past the horizon stay in the queue).
+  // Every event the main loop handled was popped, and every push was either
+  // handled or cancelled (events past the horizon stay in the queue).
   EXPECT_EQ(r.queue_stats.pops, r.events_processed);
   EXPECT_GE(r.queue_stats.pushes,
-            r.queue_stats.pops + r.queue_stats.stale_drops);
-  EXPECT_GT(r.queue_stats.stale_drops, 0u);
+            r.queue_stats.pops + r.queue_stats.cancels);
+  EXPECT_GT(r.queue_stats.cancels, 0u);
 }
 
 }  // namespace

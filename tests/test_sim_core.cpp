@@ -1,84 +1,17 @@
-// Tests for the simulator substrate: event queue, energy store, channel
-// bookkeeping (CSMA + non-clique corruption), and the metrics collector.
+// Tests for the simulator substrate: energy store, channel bookkeeping
+// (CSMA + non-clique corruption), and the metrics collector. The event
+// queue has its own suite, test_event_queue.cpp.
 #include <gtest/gtest.h>
 
 #include "model/network.h"
 #include "sim/channel.h"
 #include "sim/energy.h"
-#include "sim/event_queue.h"
 #include "sim/metrics.h"
 
 namespace {
 
 using namespace econcast;
 using namespace econcast::sim;
-
-// ------------------------------------------------------------ event queue --
-
-TEST(EventQueue, OrdersByTime) {
-  EventQueue q;
-  q.push(3.0, EventKind::kTransition, 0);
-  q.push(1.0, EventKind::kPacketEnd, 1);
-  q.push(2.0, EventKind::kIntervalEnd, 2);
-  EXPECT_EQ(q.pop().node, 1u);
-  EXPECT_EQ(q.pop().node, 2u);
-  EXPECT_EQ(q.pop().node, 0u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, FifoTieBreakAtEqualTimes) {
-  EventQueue q;
-  q.push(1.0, EventKind::kTransition, 10);
-  q.push(1.0, EventKind::kTransition, 11);
-  q.push(1.0, EventKind::kTransition, 12);
-  EXPECT_EQ(q.pop().node, 10u);
-  EXPECT_EQ(q.pop().node, 11u);
-  EXPECT_EQ(q.pop().node, 12u);
-}
-
-TEST(EventQueue, ScheduleReplacesPendingSlot) {
-  // schedule() owns cancellation: at most one live event per (node, kind).
-  EventQueue q;
-  q.schedule(1.0, EventKind::kTransition, 4);
-  q.schedule(2.0, EventKind::kTransition, 4);
-  const Event e = q.pop();
-  EXPECT_DOUBLE_EQ(e.time, 2.0);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.stats().stale_drops, 1u);
-}
-
-TEST(EventQueue, CancelInvalidatesOnlyItsSlot) {
-  EventQueue q;
-  q.schedule(1.0, EventKind::kTransition, 4);
-  q.schedule(2.0, EventKind::kEnergyDepleted, 4);
-  q.schedule(3.0, EventKind::kTransition, 5);
-  q.cancel(4, EventKind::kTransition);
-  EXPECT_EQ(q.pop().kind, EventKind::kEnergyDepleted);
-  EXPECT_EQ(q.pop().node, 5u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, DurablePushIsNotCancellable) {
-  EventQueue q;
-  q.push(1.0, EventKind::kPacketEnd, 4);
-  q.cancel(4, EventKind::kPacketEnd);
-  ASSERT_FALSE(q.empty());
-  EXPECT_EQ(q.pop().kind, EventKind::kPacketEnd);
-}
-
-TEST(EventQueue, PopEmptyThrows) {
-  EventQueue q;
-  EXPECT_THROW(q.pop(), std::logic_error);
-  EXPECT_THROW(q.top(), std::logic_error);
-}
-
-TEST(EventQueue, ClearEmpties) {
-  EventQueue q;
-  q.push(1.0, EventKind::kCustom, 0);
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-}
 
 // ------------------------------------------------------------ energy store --
 

@@ -87,13 +87,17 @@ void BM_OracleGroupputLP(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleGroupputLP)->Arg(5)->Arg(25)->Arg(100);
 
-// The event-queue push/pop cycle that dominates the simulator's inner loop.
-// Arg 0 is the node count N (live events ≈ 4N per
-// EventQueue::capacity_for_nodes, so N = 64 is the fig. 6 regime). The
-// queue is constructed and pre-reserved once, outside the timing loop, and
-// pre-filled to its steady-state population — so the measured region is
-// pure queue ops (the simulator's inner loop) rather than allocator churn.
-// Event times advance by exponential gaps, the simulator's arrival pattern.
+// An event-queue push/pop cycle of durable events. Arg 0 is the node count
+// N (live events ≈ 4N per EventQueue::capacity_for_nodes, so N = 64 is the
+// fig. 6 regime). The queue is constructed and pre-reserved once, outside
+// the timing loop, and pre-filled to its steady-state population — so the
+// measured region is pure queue ops rather than allocator churn. Each push
+// lands at the popped time plus an exponential gap, which is not the
+// simulator's loop: its durable kinds come at a fixed delay (interval ends
+// at now + τ, packet ends at now + 1), so every such push joins its kind's
+// FIFO lane. A random-gap push joins the lane only when it is not earlier
+// than the lane's tail and enters the heap otherwise, so here the pushes
+// split between a lane and the heap.
 void BM_EventQueuePushPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t live = 4 * n;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 namespace econcast::proto {
@@ -179,11 +180,12 @@ void Simulation::set_state(NodeId i, NodeState next) {
 }
 
 void Simulation::schedule_transition(NodeId i) {
-  // Any previously scheduled transition / energy-guard event for this node
-  // is obsolete the moment we re-sample; the queue removes them (schedule()
-  // below re-arms its own slot).
-  invalidate_transition(i);
+  // Re-sampling makes the node's pending transition / energy-guard event
+  // obsolete. schedule() replaces a live slot's event in place, so only a
+  // slot the new state leaves unused is cancelled — first, so that
+  // peak_live never counts an event that is about to go.
   const bool idle = !channel_.busy_at(i);
+  std::optional<double> guard_at;  // when to fire kEnergyDepleted, if armed
   double rate = 0.0;
   switch (state_[i]) {
     case NodeState::kSleep:
@@ -197,9 +199,8 @@ void Simulation::schedule_transition(NodeId i) {
         const double level = energy_.level(i, now_);
         const double deficit = refill - level;
         if (deficit > 1e-9 * refill) {
-          queue_.schedule(now_ + deficit / nodes_[i].budget + 1e-9,
-                          EventKind::kEnergyDepleted, i);
-          return;
+          guard_at = now_ + deficit / nodes_[i].budget + 1e-9;
+          break;
         }
       }
       rate = wake_rate(i, idle);
@@ -212,16 +213,21 @@ void Simulation::schedule_transition(NodeId i) {
         const double level = energy_.level(i, now_);
         const double dt = std::max(0.0, level - config_.guard_floor) /
                           (nodes_[i].listen_power - nodes_[i].budget);
-        queue_.schedule(now_ + dt, EventKind::kEnergyDepleted, i);
+        guard_at = now_ + dt;
       }
       rate = rates_[i].listen_to_sleep(idle) + listen_tx_rate(i, idle);
       break;
     }
     case NodeState::kTransmit:
-      return;  // bursts advance via packet-end events
+      break;  // bursts advance via packet-end events
   }
-  if (rate <= 0.0) return;  // gated: wait for a channel/interval wake-up
-  queue_.schedule(now_ + rng_.exponential(rate), EventKind::kTransition, i);
+  // rate <= 0: gated, waiting for a channel/interval wake-up.
+  const bool gated = rate <= 0.0;
+  if (!guard_at) queue_.cancel(i, EventKind::kEnergyDepleted);
+  if (gated) queue_.cancel(i, EventKind::kTransition);
+  if (guard_at) queue_.schedule(*guard_at, EventKind::kEnergyDepleted, i);
+  if (!gated)
+    queue_.schedule(now_ + rng_.exponential(rate), EventKind::kTransition, i);
 }
 
 void Simulation::resample_toggled() {

@@ -147,8 +147,10 @@ class Simulation {
   void set_state(sim::NodeId i, NodeState next);
   void schedule_transition(sim::NodeId i);
   /// Cancels the node's pending rate-driven events (the next transition and
-  /// any energy-guard wake-up/watchdog). Cancellation is owned by the event
-  /// queue, which removes the pending events outright.
+  /// any energy-guard wake-up/watchdog) as it starts transmitting; the
+  /// event queue removes them outright. Re-sampling goes through
+  /// schedule_transition instead, which replaces a live slot in place and
+  /// cancels only a slot the new state leaves unused.
   void invalidate_transition(sim::NodeId i) {
     queue_.cancel(i, sim::EventKind::kTransition);
     queue_.cancel(i, sim::EventKind::kEnergyDepleted);

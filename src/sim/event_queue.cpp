@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace econcast::sim {
 
@@ -44,15 +45,48 @@ void EventQueue::remove_at(std::size_t i) {
   if (i < heap_.size()) settle(i, last);
 }
 
+std::size_t EventQueue::earliest_lane() const noexcept {
+  const EventLater later;
+  const Event* best = heap_.empty() ? nullptr : &heap_.front();
+  std::size_t from = kEventKindCount;
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    const Lane& lane = lanes_[k];
+    if (lane.count == 0) continue;
+    if (best == nullptr || later(*best, lane.front())) {
+      best = &lane.front();
+      from = k;
+    }
+  }
+  return from;
+}
+
+void EventQueue::grow(Lane& lane) {
+  const std::size_t capacity = lane.ring.size();
+  ArenaVector<Event> ring(capacity == 0 ? kFirstLaneCapacity : 2 * capacity,
+                          Event{}, heap_.get_allocator());
+  for (std::size_t k = 0; k < lane.count; ++k)
+    ring[k] = lane.ring[(lane.head + k) & (capacity - 1)];
+  lane.ring = std::move(ring);
+  lane.head = 0;
+}
+
 void EventQueue::note_push() {
   ++stats_.pushes;
-  stats_.peak_live = std::max(stats_.peak_live, heap_.size());
+  stats_.peak_live = std::max(stats_.peak_live, size());
 }
 
 void EventQueue::push(double time, EventKind kind, NodeId node) {
   const Event e{time, next_seq_++, kind, false, node};
-  heap_.push_back(e);
-  settle(heap_.size() - 1, e);
+  Lane& lane = lanes_[static_cast<std::size_t>(kind)];
+  if (lane.count == 0 || lane.back().time <= time) {
+    if (lane.count == lane.ring.size()) grow(lane);
+    lane.ring[(lane.head + lane.count) & (lane.ring.size() - 1)] = e;
+    ++lane.count;
+    ++lane_events_;
+  } else {
+    heap_.push_back(e);
+    settle(heap_.size() - 1, e);
+  }
   note_push();
 }
 
@@ -82,12 +116,22 @@ void EventQueue::cancel(NodeId node, EventKind kind) {
 }
 
 const Event& EventQueue::top() const {
-  if (heap_.empty()) throw std::logic_error("top of empty EventQueue");
-  return heap_.front();
+  if (empty()) throw std::logic_error("top of empty EventQueue");
+  const std::size_t k = earliest_lane();
+  return k < kEventKindCount ? lanes_[k].front() : heap_.front();
 }
 
 Event EventQueue::pop() {
-  if (heap_.empty()) throw std::logic_error("pop from empty EventQueue");
+  if (empty()) throw std::logic_error("pop from empty EventQueue");
+  if (const std::size_t k = earliest_lane(); k < kEventKindCount) {
+    Lane& lane = lanes_[k];
+    const Event event = lane.front();
+    lane.head = (lane.head + 1) & (lane.ring.size() - 1);
+    --lane.count;
+    --lane_events_;
+    ++stats_.pops;
+    return event;
+  }
   const Event event = heap_.front();
   if (event.cancellable)
     position_[slot_index(event.node, event.kind)] = kNoPosition;

@@ -1,17 +1,29 @@
 // Future-event list for the continuous-time simulators: an addressable
-// binary heap over a reservable (optionally arena-backed) vector, popping in
-// the strict total order (time, seq) — seq is assigned at every push and
-// (re)schedule, so simultaneous events pop first-in first-out.
+// binary heap plus one FIFO lane per event kind, all over reservable
+// (optionally arena-backed) storage, popping in the strict total order
+// (time, seq) — seq is assigned at every push and (re)schedule, so
+// simultaneous events pop first-in first-out.
 //
 // Cancellation is owned by the queue. `schedule()` enters a *cancellable*
 // event in its (node, kind) slot, and every slot knows the heap position of
 // its event: rescheduling an occupied slot overwrites that entry in place
 // and sifts it, `cancel()` removes it in O(log n), and `pop()` frees the
-// slot. The heap therefore stores exactly the live events — the indexed
+// slot. The queue therefore stores exactly the live events — the indexed
 // priority queue of the next-reaction method (Gibson & Bruck, J. Phys.
 // Chem. A 104:1876, 2000). Re-sampling on cancel is statistically valid
-// because the sojourn times are exponential (memorylessness). `push()`
-// enters a durable event that no cancellation affects.
+// because the sojourn times are exponential (memorylessness).
+//
+// `push()` enters a durable event that no cancellation affects. Durable
+// events come at a fixed delay — EconCast's interval ends at now + τ, which
+// every node shares at each boundary, and its packet ends at now + 1 — so
+// each kind's pushes arrive already in time order. The lane rule: a push
+// appends to its kind's lane when its time is not earlier than the lane's
+// tail (seq only grows, so the lane stays sorted on (time, seq)); any other
+// push enters the heap. `top()` and `pop()` take the earliest of the heap
+// top and the lane fronts. On the Fig. 6 N = 100 grid durable events are
+// 52–68% of all pops, and a lane pops them in O(1) instead of a full
+// sift-down. Out-of-order pushes (the testbed's drifting per-node interval
+// clocks) take the heap path.
 #ifndef ECONCAST_SIM_EVENT_QUEUE_H
 #define ECONCAST_SIM_EVENT_QUEUE_H
 
@@ -64,8 +76,9 @@ struct QueueStats {
 
 class EventQueue {
  public:
-  /// With an arena, the heap and the position index are arena-backed (the
-  /// arena must outlive the queue and any queue moved-from it).
+  /// With an arena, the heap, the lanes and the position index are
+  /// arena-backed (the arena must outlive the queue and any queue
+  /// moved-from it).
   explicit EventQueue(Arena* arena = nullptr);
 
   /// The shared capacity policy for simulators whose live event count is
@@ -81,7 +94,8 @@ class EventQueue {
   /// hand-picking constants.
   void reserve_for_nodes(std::size_t n);
 
-  /// Enters a durable event: it stays live until popped.
+  /// Enters a durable event: it stays live until popped. It joins its
+  /// kind's lane unless it is earlier than the lane's tail.
   void push(double time, EventKind kind, NodeId node);
 
   /// Enters a cancellable event for (node, kind), replacing the slot's live
@@ -91,20 +105,34 @@ class EventQueue {
   /// Removes the live scheduled event for (node, kind), if any. O(log n).
   void cancel(NodeId node, EventKind kind);
 
-  bool empty() const noexcept { return heap_.empty(); }
-  /// The earliest event. Throws std::logic_error when empty().
+  bool empty() const noexcept { return size() == 0; }
+  /// The earliest event; the reference stays valid until the next mutating
+  /// call. Throws std::logic_error when empty().
   const Event& top() const;
   /// Removes and returns the earliest event. Throws std::logic_error when
   /// empty().
   Event pop();
 
   /// Live events.
-  std::size_t size() const noexcept { return heap_.size(); }
+  std::size_t size() const noexcept { return heap_.size() + lane_events_; }
 
   const QueueStats& stats() const noexcept { return stats_; }
 
  private:
   static constexpr std::size_t kNoPosition = ~std::size_t{0};
+  static constexpr std::size_t kFirstLaneCapacity = 8;
+
+  /// A FIFO ring of durable events of one kind, sorted on (time, seq).
+  struct Lane {
+    ArenaVector<Event> ring;  // capacity ring.size(): 0 or a power of two
+    std::size_t head = 0;
+    std::size_t count = 0;
+
+    const Event& front() const noexcept { return ring[head]; }
+    const Event& back() const noexcept {
+      return ring[(head + count - 1) & (ring.size() - 1)];
+    }
+  };
 
   static std::size_t slot_index(NodeId node, EventKind kind) noexcept {
     return static_cast<std::size_t>(node) * kEventKindCount +
@@ -117,11 +145,18 @@ class EventQueue {
   void settle(std::size_t i, const Event& e);
   /// Removes the entry at heap index `i`.
   void remove_at(std::size_t i);
+  /// The index of the lane whose front is the earliest event, or
+  /// kEventKindCount when the heap top is (or every lane is empty).
+  std::size_t earliest_lane() const noexcept;
+  /// Doubles the lane's ring, unwrapping it to head 0.
+  void grow(Lane& lane);
   void note_push();
 
   ArenaVector<Event> heap_;               // min-heap on EventLater
   ArenaVector<std::size_t> position_;     // node-major, kEventKindCount wide:
                                           // heap index or kNoPosition
+  Lane lanes_[kEventKindCount];           // durable pushes, per kind
+  std::size_t lane_events_ = 0;           // summed lane counts
   std::uint64_t next_seq_ = 0;
   QueueStats stats_;
 };

@@ -100,23 +100,27 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
 
   auto schedule_transition = [&](NodeId i) {
     Node& nd = nodes[i];
-    // The queue owns invalidation: a re-schedule (or a bare cancel when the
-    // node is gated) removes the pending transition — the same contract
-    // proto::Simulation uses.
-    queue.cancel(i, sim::EventKind::kTransition);
-    if (transmitter >= 0) return;  // gated: resampled on release
+    // The queue owns invalidation: a re-schedule replaces the pending
+    // transition in place, and a node left without one (gated, or
+    // transmitting) has it cancelled — the same contract proto::Simulation
+    // uses.
     double rate = 0.0;
-    switch (nd.state) {
-      case S::kSleep:
-        rate = rate_sl(nd);
-        break;
-      case S::kListen:
-        rate = rate_ls(nd) + rate_lx(nd);
-        break;
-      case S::kTransmit:
-        return;
+    if (transmitter < 0) {  // else gated: resampled on release
+      switch (nd.state) {
+        case S::kSleep:
+          rate = rate_sl(nd);
+          break;
+        case S::kListen:
+          rate = rate_ls(nd) + rate_lx(nd);
+          break;
+        case S::kTransmit:
+          break;
+      }
     }
-    if (rate <= 0.0) return;
+    if (rate <= 0.0) {
+      queue.cancel(i, sim::EventKind::kTransition);
+      return;
+    }
     queue.schedule(now + rng.exponential(rate), sim::EventKind::kTransition,
                    i);
   };

@@ -167,6 +167,30 @@ TEST(EventQueue, ManySimultaneousEventsPopInPushOrder) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, EqualTimesPopInSeqOrderAcrossLanesAndHeap) {
+  // Durable pushes of different kinds sit in different lanes and scheduled
+  // events in the heap; at equal times seq alone decides, lane front against
+  // lane front and lane front against heap entry alike.
+  EventQueue q;
+  q.push(5.0, EventKind::kCustom, 0);          // kCustom lane
+  q.schedule(5.0, EventKind::kTransition, 1);  // heap
+  q.push(5.0, EventKind::kIntervalEnd, 2);     // kIntervalEnd lane
+  q.push(5.0, EventKind::kPacketEnd, 3);       // kPacketEnd lane
+  q.schedule(5.0, EventKind::kTransition, 4);  // heap
+  q.push(5.0, EventKind::kIntervalEnd, 5);     // kIntervalEnd lane, behind 2
+  q.push(9.0, EventKind::kPacketEnd, 6);       // kPacketEnd lane tail
+  q.push(5.0, EventKind::kPacketEnd, 7);       // earlier than the tail: heap
+  EXPECT_EQ(q.size(), 8u);
+  for (const std::uint32_t node : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 6u}) {
+    EXPECT_EQ(q.top().node, node);
+    const Event e = q.pop();
+    EXPECT_EQ(e.node, node);
+    EXPECT_DOUBLE_EQ(e.time, node == 6u ? 9.0 : 5.0);
+  }
+  EXPECT_TRUE(q.empty());
+  expect_accounted(q);
+}
+
 TEST(EventQueue, FarFutureOutliersDoNotDisturbNearOrder) {
   // The simulators' skew: a dense near cluster plus wake-ups orders of
   // magnitude out, interleaved with pops.
@@ -223,7 +247,10 @@ class DifferentialHarness {
 
   /// Pops both (expecting both non-empty) and checks the events match;
   /// returns the popped time.
-  double pop() {
+  double pop() { return pop_event().time; }
+
+  /// pop(), returning the whole event.
+  Event pop_event() {
     EXPECT_FALSE(empty());
     const Event a = queue_.pop();
     const Event b = model_.begin()->second;
@@ -236,7 +263,7 @@ class DifferentialHarness {
     EXPECT_EQ(a.cancellable, b.cancellable);
     ++pops_;
     check();
-    return a.time;
+    return a;
   }
 
   bool empty() {
@@ -360,6 +387,63 @@ TEST(EventQueueDifferential, BurstsOfSimultaneousSchedules) {
     for (int k = 0; k < 40 && !q.empty(); ++k) q.pop();
   }
   q.drain_and_compare();
+}
+
+TEST(EventQueueDifferential, SimulatorLanePattern) {
+  // The simulator's durable traffic: interval ends at k·τ that all N nodes
+  // share, packet ends at now + 1 (bursts continue packet by packet, and
+  // several transmitters can end at once), with transitions scheduled,
+  // replaced, cancelled and popped in between. Node 0's interval clock
+  // drifts (the testbed's per-node periods), and now and then a packet end
+  // lands earlier than its lane's tail: both take the heap path.
+  const double tau = 50.0;
+  for (const std::uint64_t seed : {2u, 17u, 808u}) {
+    util::Rng rng(seed);
+    DifferentialHarness q;
+    const std::uint32_t n = 30;
+    // Wrap the packet-end lane, then overfill it: 5 in, 3 out (head 3),
+    // 10 more in, so its first 8-entry ring grows while wrapped.
+    for (std::uint32_t i = 0; i < 5; ++i)
+      q.push(1.0 + i, EventKind::kPacketEnd, i);
+    for (int k = 0; k < 3; ++k) q.pop();
+    for (std::uint32_t i = 0; i < 10; ++i)
+      q.push(6.0 + i, EventKind::kPacketEnd, 5 + i);
+    double now = 3.0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      q.schedule(now + rng.exponential(1.0), EventKind::kTransition, i);
+      q.push(tau, EventKind::kIntervalEnd, i);
+    }
+    for (int op = 0; op < 20000; ++op) {
+      // After a mismatch the replies no longer follow the simulator's
+      // pattern; stop at the first one.
+      if (::testing::Test::HasFailure()) return;
+      const double r = rng.uniform();
+      const auto node = static_cast<std::uint32_t>(rng.uniform() * n);
+      if (r < 0.30) {
+        const double scale = rng.uniform() < 0.1 ? 1e3 : 1.0;
+        q.schedule(now + scale * rng.exponential(1.0), EventKind::kTransition,
+                   node);
+      } else if (r < 0.40) {
+        q.cancel(node, EventKind::kTransition);
+      } else if (r < 0.44) {
+        // Transmitters starting together end together.
+        const auto burst = 1 + static_cast<std::uint32_t>(rng.uniform() * 12);
+        for (std::uint32_t k = 0; k < burst; ++k)
+          q.push(now + 1.0, EventKind::kPacketEnd, (node + k) % n);
+      } else if (r < 0.46) {
+        q.push(now + 0.5 * rng.uniform(), EventKind::kPacketEnd, node);
+      } else if (!q.empty()) {
+        const Event e = q.pop_event();
+        now = e.time;
+        if (e.kind == EventKind::kIntervalEnd)
+          q.push(now + (e.node == 0 ? 0.97 * tau : tau),
+                 EventKind::kIntervalEnd, e.node);
+        if (e.kind == EventKind::kPacketEnd && rng.uniform() < 0.7)
+          q.push(now + 1.0, EventKind::kPacketEnd, e.node);
+      }
+    }
+    q.drain_and_compare();
+  }
 }
 
 // ------------------------------------------------ end-to-end accounting --

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "econcast/simulation.h"
 #include "gibbs/exact.h"
@@ -246,6 +249,88 @@ TEST(SimulationDeterminism, DifferentSeedsDiffer) {
   const SimResult a = Simulation(nodes, model::Topology::clique(5), a_cfg).run();
   const SimResult b = Simulation(nodes, model::Topology::clique(5), b_cfg).run();
   EXPECT_NE(a.events_processed, b.events_processed);
+}
+
+/// One configuration's exact output: every counter, and every per-node
+/// double bit for bit (hex-float literals).
+struct SimGolden {
+  const char* name;
+  model::NodeSet nodes;
+  model::Topology topology;
+  SimConfig cfg;
+  double groupput, anyput;
+  std::uint64_t packets_sent, packets_received, bursts, corrupted_receptions,
+      events_processed;
+  std::vector<double> avg_power, final_eta;
+  std::uint64_t pushes, pops, cancels;
+  std::size_t peak_live;
+};
+
+TEST(SimulationGolden, BitForBit) {
+  // Any change to the event handling, the event order, the RNG draw order
+  // or the queue's accounting shows up here.
+  //
+  // (a) Grid with the energy guard: brown-outs exercise the kEnergyDepleted
+  // slot, and the warmup snapshot (a kCustom push at t = 0) ties in time
+  // with every node's interval end at 200 τ and must pop before them.
+  SimConfig grid = base_config(0.5, 3e4, 11);
+  grid.warmup = 200 * grid.multiplier.tau;
+  grid.multiplier.eta_init = 0.01;
+  grid.energy_guard = true;
+  grid.initial_energy = 1e4;
+  // (b) Non-capture anyput clique: every listener join/leave re-samples the
+  // listening neighbours, replacing their live transitions.
+  SimConfig noncapture = base_config(0.5, 4e4, 5);
+  noncapture.mode = Mode::kAnyput;
+  noncapture.variant = Variant::kNonCapture;
+  // (c) Theorem 1 schedule: τ_k = k grows interval by interval (power
+  // scaled down so the unscaled step δ_k keeps η near σ/L).
+  SimConfig theorem1 = base_config(0.5, 4e4, 3);
+  theorem1.multiplier.schedule = StepSchedule::kTheorem1;
+  const SimGolden goldens[] = {
+      {"grid3x3-guard", paper_nodes(9), model::Topology::grid(3, 3), grid,
+       0x1.758e219652bd4p-7, 0x1.758e219652bd4p-7, 1423, 228, 35, 2, 10700,
+       {0x1.078267842ba65p+3, 0x1.f98f575462139p+2, 0x1.f534fd3fafed6p+2,
+        0x1.0cec8e4b93c6ap+3, 0x1.0bf5e88a7bafbp+3, 0x1.f430c43f87696p+2,
+        0x1.097a0786a64e4p+3, 0x1.0a48e4688e69cp+3, 0x1.df1cad27ac168p+2},
+       {0x1.3f014c255d92dp-8, 0x1.238b095b82c83p-8, 0x1.2f48836eb303cp-8,
+        0x1.3dcbed0cb0936p-8, 0x1.35c40702df864p-8, 0x1.1c747f114972ap-8,
+        0x1.33d7515499a03p-8, 0x1.46a166eb6f718p-8, 0x1.1fb09998779eep-8},
+       21988, 10700, 11270, 21},
+      {"clique6-noncapture-anyput", paper_nodes(6),
+       model::Topology::clique(6), noncapture, 0x1.0cccccccccccdp-6,
+       0x1.0cccccccccccdp-6, 1847, 525, 525, 0, 14537,
+       {0x1.47e37023dc275p+3, 0x1.3dc9279b2b6p+3, 0x1.3c3628bf8112dp+3,
+        0x1.3b86366ae55aep+3, 0x1.33b9cc37207d7p+3, 0x1.45e83bec1fcc3p+3},
+       {0x1.51663036f99ffp-8, 0x1.36c5c7dc1c086p-8, 0x1.2ada5fbed262cp-8,
+        0x1.1eae1a121173fp-8, 0x1.37fc6b8238f74p-8, 0x1.4e7ebc948ccf4p-8},
+       33697, 14537, 19148, 13},
+      {"clique5-theorem1", model::homogeneous(5, 0.01, 0.5, 0.5),
+       model::Topology::clique(5), theorem1, 0x1.816a7ef9db22dp+1,
+       0x1.fbdf3b645a1cbp-1, 31801, 96354, 305, 0, 42735,
+       {0x1.bba44fedf15ddp-2, 0x1.9638400639a7dp-2, 0x1.838e792c92b96p-2,
+        0x1.8b91a230df014p-2, 0x1.a77ddea032fc6p-2},
+       {0x1.6ef60431c08dap-2, 0x1.b0dc6f5e621e9p-2, 0x1.e7f3a182c8334p-2,
+        0x1.825b9ad4422c9p-1, 0x1.72fb1ace52d0fp-1},
+       44830, 42735, 2089, 11},
+  };
+  for (const SimGolden& g : goldens) {
+    SCOPED_TRACE(g.name);
+    const SimResult r = Simulation(g.nodes, g.topology, g.cfg).run();
+    EXPECT_EQ(r.groupput, g.groupput);  // exact double equality
+    EXPECT_EQ(r.anyput, g.anyput);
+    EXPECT_EQ(r.packets_sent, g.packets_sent);
+    EXPECT_EQ(r.packets_received, g.packets_received);
+    EXPECT_EQ(r.bursts, g.bursts);
+    EXPECT_EQ(r.corrupted_receptions, g.corrupted_receptions);
+    EXPECT_EQ(r.events_processed, g.events_processed);
+    EXPECT_EQ(r.avg_power, g.avg_power);
+    EXPECT_EQ(r.final_eta, g.final_eta);
+    EXPECT_EQ(r.queue_stats.pushes, g.pushes);
+    EXPECT_EQ(r.queue_stats.pops, g.pops);
+    EXPECT_EQ(r.queue_stats.cancels, g.cancels);
+    EXPECT_EQ(r.queue_stats.peak_live, g.peak_live);
+  }
 }
 
 TEST(SimulationLatency, SamplesRequireSleepAndAreNonnegative) {

@@ -16,7 +16,7 @@
 // sampled network — the seed version's paired-sampling design, which keeps
 // the σ comparison free of independent-sampling noise — and the printed
 // numbers are independent of both the thread count and the host's core
-// count (and bit-identical to the pre-manifest for_each implementation).
+// count.
 #include <cstdio>
 #include <iostream>
 #include <vector>

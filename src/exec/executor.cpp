@@ -71,27 +71,24 @@ void Executor::worker_main() {
     Batch* batch = current_batch_;
     const std::uint64_t gen = batch_gen_;
 
-    // Claim a participant slot and bump `inside` while still under pool_mu_.
+    // Take a participant slot and bump `inside` while still under pool_mu_.
     // The submitter retires the batch under the same mutex and only then
     // waits for `inside` to drain, so either we are counted before the
     // retire or we observe current_batch_ == nullptr — never a join after
-    // the submitter stopped waiting.
-    std::size_t slot = 0;
+    // the submitter stopped waiting. A batch whose cursor already reached
+    // the end has nothing left to claim, so there is no point joining it.
     bool joined = false;
     {
-      std::lock_guard<std::mutex> slots(batch->slot_mu);
-      if (batch->next_slot < batch->deques.size()) {
-        slot = batch->next_slot++;
+      std::lock_guard<std::mutex> state(batch->state_mu);
+      if (batch->seats > 0 && batch->next < batch->n) {
+        --batch->seats;
+        ++batch->inside;
         joined = true;
       }
     }
     if (joined) {
-      {
-        std::lock_guard<std::mutex> state(batch->state_mu);
-        ++batch->inside;
-      }
       lock.unlock();
-      work_on(*batch, slot);
+      work_on(*batch);
       lock.lock();
     }
     // Sleep until this batch is retired so a full or drained batch is not
@@ -137,17 +134,8 @@ void Executor::parallel_for(std::size_t n, const TaskFn& fn,
   batch.n = n;
   batch.fn = &fn;
   batch.progress = progress ? &progress : nullptr;
-  batch.deques = std::vector<WorkDeque>(participants);
-  // Seed each participant with a contiguous chunk; stealing rebalances.
-  const std::size_t base = n / participants;
-  const std::size_t extra = n % participants;
-  std::size_t begin = 0;
-  for (std::size_t p = 0; p < participants; ++p) {
-    const std::size_t len = base + (p < extra ? 1 : 0);
-    batch.deques[p].ranges.push_back(Range{begin, begin + len});
-    begin += len;
-  }
-  batch.inside = 1;  // the submitting thread, slot 0
+  batch.seats = participants - 1;
+  batch.inside = 1;  // the submitting thread
 
   {
     std::lock_guard<std::mutex> lock(pool_mu_);
@@ -156,7 +144,7 @@ void Executor::parallel_for(std::size_t n, const TaskFn& fn,
   }
   pool_cv_.notify_all();
 
-  work_on(batch, 0);
+  work_on(batch);
 
   // Retire the batch BEFORE waiting for it to drain: workers join (and bump
   // `inside`) only while holding pool_mu_ with current_batch_ still set, so
@@ -170,53 +158,13 @@ void Executor::parallel_for(std::size_t n, const TaskFn& fn,
   pool_cv_.notify_all();
   {
     std::unique_lock<std::mutex> state(batch.state_mu);
-    batch.state_cv.wait(
-        state, [&] { return batch.settled == batch.n && batch.inside == 0; });
+    batch.state_cv.wait(state, [&] { return batch.inside == 0; });
   }
 
   if (batch.first_error) std::rethrow_exception(batch.first_error);
 }
 
-bool Executor::pop_own(Batch& b, std::size_t slot, std::size_t& index) {
-  WorkDeque& d = b.deques[slot];
-  std::lock_guard<std::mutex> lock(d.mu);
-  if (d.ranges.empty()) return false;
-  Range& r = d.ranges.back();
-  index = r.begin++;
-  if (r.begin == r.end) d.ranges.pop_back();
-  return true;
-}
-
-bool Executor::steal_into(Batch& b, std::size_t slot) {
-  // Scan the other deques starting just past our own so contention spreads;
-  // take the front range of the first victim with work, leaving the victim
-  // the back half when the range can split.
-  const std::size_t p = b.deques.size();
-  for (std::size_t k = 1; k < p; ++k) {
-    WorkDeque& victim = b.deques[(slot + k) % p];
-    Range stolen;
-    {
-      std::lock_guard<std::mutex> lock(victim.mu);
-      if (victim.ranges.empty()) continue;
-      Range& r = victim.ranges.front();
-      const std::size_t len = r.end - r.begin;
-      if (len > 1) {
-        const std::size_t mid = r.begin + len / 2;
-        stolen = Range{r.begin, mid};
-        r.begin = mid;
-      } else {
-        stolen = r;
-        victim.ranges.pop_front();
-      }
-    }
-    std::lock_guard<std::mutex> lock(b.deques[slot].mu);
-    b.deques[slot].ranges.push_back(stolen);
-    return true;
-  }
-  return false;
-}
-
-void Executor::run_task(Batch& b, std::size_t index) {
+std::exception_ptr Executor::run_task(Batch& b, std::size_t index) {
   try {
     (*b.fn)(index);
     if (b.progress) {
@@ -228,57 +176,26 @@ void Executor::run_task(Batch& b, std::size_t index) {
       (*b.progress)(TaskProgress{index, b.done, b.n});
     }
   } catch (...) {
-    std::lock_guard<std::mutex> state(b.state_mu);
-    if (!b.failed) {
-      b.failed = true;
-      b.first_error = std::current_exception();
-    }
+    return std::current_exception();
   }
-  std::lock_guard<std::mutex> state(b.state_mu);
-  ++b.settled;
-  if (b.settled == b.n) b.state_cv.notify_all();
+  return nullptr;
 }
 
-void Executor::abandon_remaining(Batch& b) {
-  std::size_t abandoned = 0;
-  for (WorkDeque& d : b.deques) {
-    std::lock_guard<std::mutex> lock(d.mu);
-    for (const Range& r : d.ranges) abandoned += r.end - r.begin;
-    d.ranges.clear();
-  }
-  if (abandoned == 0) return;
-  std::lock_guard<std::mutex> state(b.state_mu);
-  b.settled += abandoned;
-  if (b.settled == b.n) b.state_cv.notify_all();
-}
-
-void Executor::work_on(Batch& b, std::size_t slot) {
+void Executor::work_on(Batch& b) {
   const WorkDepthScope in_task_context;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> state(b.state_mu);
-      if (b.failed) break;
-    }
-    std::size_t index;
-    if (pop_own(b, slot, index)) {
-      run_task(b, index);
-      continue;
-    }
-    if (!steal_into(b, slot)) break;  // every deque empty: only in-flight
-                                      // tasks remain, nothing to steal
-  }
-  {
-    std::lock_guard<std::mutex> state(b.state_mu);
-    if (!b.failed) {
-      --b.inside;
-      if (b.inside == 0) b.state_cv.notify_all();
-      return;
+  std::unique_lock<std::mutex> state(b.state_mu);
+  while (b.next < b.n) {
+    const std::size_t index = b.next++;
+    state.unlock();
+    std::exception_ptr error = run_task(b, index);
+    state.lock();
+    if (error) {
+      // Abandon the unclaimed tail; tasks already claimed still finish.
+      if (!b.first_error) b.first_error = std::move(error);
+      b.next = b.n;
     }
   }
-  abandon_remaining(b);
-  std::lock_guard<std::mutex> state(b.state_mu);
-  --b.inside;
-  if (b.inside == 0) b.state_cv.notify_all();
+  if (--b.inside == 0) b.state_cv.notify_all();
 }
 
 }  // namespace econcast::exec

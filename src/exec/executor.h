@@ -1,13 +1,19 @@
-// Persistent work-stealing executor for the sweep workloads.
+// Persistent shared-cursor executor for the sweep workloads.
 //
 // The paper's evaluation is a pipeline of large batches (hundreds of sampled
 // networks per figure cell), and before this subsystem existed every batch
 // paid for a fresh std::thread pool spin-up/join. Executor keeps one set of
-// worker threads alive for the life of the process (or of a test), executes
-// index-space batches over per-worker deques with range stealing, and
-// reports per-task completion through a serialized progress callback — the
-// hook runner::SweepSession uses to stream checkpoint results in index
+// worker threads alive for the life of the process (or of a test), runs
+// index-space batches through one shared claim cursor — every participant
+// takes the lowest unclaimed index until the batch is done or has failed —
+// and reports per-task completion through a serialized progress callback,
+// the hook runner::SweepSession uses to stream checkpoint results in index
 // order.
+//
+// Callers choose the schedule through the order of their indices
+// (runner/cost_model.h). One mutex guards the cursor: the tasks this
+// project runs are simulations lasting milliseconds to hours, so claim
+// overhead is noise.
 //
 // Determinism: the executor assigns *which* thread runs fn(i), never *what*
 // fn(i) computes. Callers that confine writes to per-index state (the
@@ -19,7 +25,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -57,12 +63,13 @@ class Executor {
 
   std::size_t num_workers() const noexcept { return workers_.size(); }
 
-  /// Runs fn(i) for every i in [0, n), distributing indices across this
-  /// executor's workers plus the calling thread. Blocks until the batch is
-  /// complete. `max_parallelism` caps the number of participating threads
-  /// (0 = no cap beyond the pool size); 1 runs inline on the caller. The
-  /// first exception thrown by any task is rethrown after the batch drains;
-  /// remaining indices are abandoned.
+  /// Runs fn(i) for every i in [0, n) across this executor's workers plus
+  /// the calling thread, each participant claiming the lowest unclaimed
+  /// index in turn. Blocks until the batch is complete. `max_parallelism`
+  /// caps the number of participating threads (0 = no cap beyond the pool
+  /// size); 1 runs inline on the caller, in index order. The first
+  /// exception thrown by any task is rethrown after the batch drains;
+  /// indices not yet claimed are abandoned.
   ///
   /// One batch runs at a time per executor: concurrent calls from other
   /// threads queue behind a submission mutex. A call made from inside one of
@@ -79,46 +86,29 @@ class Executor {
   static Executor& shared();
 
  private:
-  /// A half-open index range; the unit of work ownership and stealing.
-  struct Range {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
-  /// One participant's deque. The owner takes single indices from the back;
-  /// thieves split off the front half of the front range. A plain mutex per
-  /// deque keeps this obviously correct — the tasks this project runs are
-  /// simulations lasting milliseconds to hours, so queue overhead is noise.
-  struct WorkDeque {
-    std::mutex mu;
-    std::deque<Range> ranges;
-  };
-
   struct Batch {
     std::size_t n = 0;
     const TaskFn* fn = nullptr;
     const ProgressFn* progress = nullptr;
-    std::vector<WorkDeque> deques;  // one per participant slot
-    std::mutex slot_mu;
-    std::size_t next_slot = 1;  // slot 0 is the submitting thread
+
+    // Guarded by state_mu: the claim cursor (lowest unclaimed index; a
+    // failure moves it to n, abandoning the tail), the participant slots
+    // still open to workers, the participants currently in work_on, and the
+    // first error.
+    std::mutex state_mu;
+    std::condition_variable state_cv;
+    std::size_t next = 0;
+    std::size_t seats = 0;
+    std::size_t inside = 0;
+    std::exception_ptr first_error;
 
     std::mutex progress_mu;
     std::size_t done = 0;  // tasks executed (guarded by progress_mu)
-
-    std::mutex state_mu;
-    std::condition_variable state_cv;
-    std::size_t settled = 0;  // executed or abandoned (guarded by state_mu)
-    std::size_t inside = 0;   // participants currently in work_on (state_mu)
-    bool failed = false;
-    std::exception_ptr first_error;
   };
 
   void worker_main();
-  void work_on(Batch& b, std::size_t slot);
-  bool pop_own(Batch& b, std::size_t slot, std::size_t& index);
-  bool steal_into(Batch& b, std::size_t slot);
-  void run_task(Batch& b, std::size_t index);
-  void abandon_remaining(Batch& b);
+  void work_on(Batch& b);
+  std::exception_ptr run_task(Batch& b, std::size_t index);
   void run_serial(std::size_t n, const TaskFn& fn, const ProgressFn& progress);
 
   std::vector<std::thread> workers_;

@@ -6,9 +6,11 @@
 // acquisition is an atomic create-exclusive (O_CREAT|O_EXCL), so exactly
 // one worker can hold a shard at a time — there is no distributed lock
 // beyond the (shared) filesystem. The worker heartbeats by atomically
-// rewriting the claim with a fresh `heartbeat_at` after every completed
-// cell; the coordinator treats a claim whose heartbeat is older than the
-// lease as abandoned, deletes it, and the shard becomes claimable again.
+// rewriting the claim with a fresh `heartbeat_at` as each cell finishes,
+// whether or not the cell has reached the shard file yet (on more than one
+// thread cells finish out of index order and wait for the lower ones); the
+// coordinator treats a claim whose heartbeat is older than the lease as
+// abandoned, deletes it, and the shard becomes claimable again.
 // The new worker resumes from the shard's results file exactly as a
 // single-process `econcast_sweep` rerun would — the kill-anywhere contract
 // of runner::SweepSession carries over unchanged.
@@ -20,11 +22,12 @@
 //     "worker": "host-1234",        // free-form worker id
 //     "claimed_at": 1754550000,     // unix seconds, wall clock
 //     "heartbeat_at": 1754550012,   // last heartbeat, unix seconds
-//     "cells_done": 5               // session-local progress at heartbeat
+//     "cells_done": 5               // session's finished cells at heartbeat
 //   }
 //
 // The lease must comfortably exceed the worst-case wall clock of one cell
-// (heartbeats happen per completed cell, not on a timer): undersizing it
+// (heartbeats happen per finished cell, not on a timer, and a running
+// worker finishes some cell at least that often): undersizing it
 // can reassign a shard whose worker is merely slow, and two live writers
 // on one shard file produce interleaved records that the merger will
 // reject (detected, not silent).
@@ -43,7 +46,7 @@ struct ShardClaim {
   std::string worker;
   std::int64_t claimed_at = 0;    // unix seconds
   std::int64_t heartbeat_at = 0;  // unix seconds
-  std::uint64_t cells_done = 0;   // completed cells at last heartbeat
+  std::uint64_t cells_done = 0;   // finished cells at last heartbeat
 
   /// Stale when `now - heartbeat_at >= lease_seconds`. A zero lease makes
   /// every claim stale — the deterministic knob tests and CI use to force

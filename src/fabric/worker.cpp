@@ -75,14 +75,12 @@ Worker::Outcome Worker::run() {
     session_options.num_threads = options_.num_threads;
     session_options.cell_begin = range_.begin;
     session_options.cell_end = range_.end;
-    if (!options_.cache_dir.empty()) {
+    if (!options_.cache_dir.empty())
       session_options.cache =
           std::make_shared<runner::CellCache>(options_.cache_dir);
-      session_options.order = runner::SweepSession::SubmitOrder::kCost;
-    }
     session_options.on_cell_done = [&](const runner::ScenarioProgress& p) {
-      // Heartbeat after every checkpointed cell; throws (aborting the
-      // sweep) if the shard was reassigned out from under us.
+      // Heartbeat as each cell finishes, checkpointed yet or not; throws
+      // (aborting the sweep) if the shard was reassigned out from under us.
       touch_claim(claim_path, claim, p.done);
       if (options_.on_cell_done) options_.on_cell_done(p);
     };

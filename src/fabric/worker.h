@@ -4,7 +4,7 @@
 // runner::SweepSession: it pins (or validates) the shard plan, acquires the
 // shard's claim file (atomic create — see claim.h), opens the session on
 // the shard's results JSONL restricted to the shard's cell range, and
-// touches the claim after every completed cell. Kill a worker at any byte
+// touches the claim as each cell finishes. Kill a worker at any byte
 // and the next claimant resumes from the shard file exactly as a
 // single-process sweep resumes from its checkpoint; finish the shard and
 // the claim is released. Everything a worker writes is keyed by global cell
@@ -33,14 +33,14 @@ class Worker {
     /// completed cells; 0 = run the shard to completion. The deterministic
     /// "interrupted worker" knob, mirroring `econcast_sweep --limit`.
     std::size_t limit = 0;
-    /// Forwarded per-cell hook (progress lines); invoked after the cell is
-    /// checkpointed and the heartbeat is written.
+    /// Forwarded per-cell hook (progress lines); invoked as each cell
+    /// finishes, after the heartbeat is written (see
+    /// runner::SweepSession::Options::on_cell_done).
     std::function<void(const runner::ScenarioProgress&)> on_cell_done;
     /// Result-cache directory shared across workers (and with plain
     /// `econcast_sweep --cache` runs); empty = no cache. Cached cells skip
     /// execution, newly computed cells are published — results-neutral by
-    /// contract. Enables cost-ordered submission within the
-    /// shard (the cache's observed wall clocks calibrate the model).
+    /// contract.
     std::string cache_dir;
   };
 
@@ -69,10 +69,10 @@ class Worker {
   const ShardRange& range() const noexcept { return range_; }
   const std::string& worker_id() const noexcept { return options_.worker_id; }
 
-  /// Claim → run → heartbeat-per-cell → release. Returns without running
-  /// anything when the shard is busy or already complete. On a cell failure
-  /// the claim is released (completed cells stay checkpointed) and the
-  /// exception propagates.
+  /// Claim → run → heartbeat per finished cell → release. Returns without
+  /// running anything when the shard is busy or already complete. On a cell
+  /// failure the claim is released (completed cells stay checkpointed) and
+  /// the exception propagates.
   Outcome run();
 
  private:

@@ -8,12 +8,20 @@
 namespace econcast::gibbs {
 
 namespace {
+// std::lgamma stores the sign of Γ in the global `signgam`, a data race when
+// solver cells run on several executor threads at once. lgamma_r returns
+// the same value and writes the sign to a local instead.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 std::vector<double> log_binomials(std::size_t n) {
   std::vector<double> out(n + 1);
   for (std::size_t c = 0; c <= n; ++c)
-    out[c] = std::lgamma(static_cast<double>(n) + 1.0) -
-             std::lgamma(static_cast<double>(c) + 1.0) -
-             std::lgamma(static_cast<double>(n - c) + 1.0);
+    out[c] = log_gamma(static_cast<double>(n) + 1.0) -
+             log_gamma(static_cast<double>(c) + 1.0) -
+             log_gamma(static_cast<double>(n - c) + 1.0);
   return out;
 }
 }  // namespace

@@ -109,37 +109,19 @@ void CostModel::calibrate_from_cache(const std::string& cache_dir) {
       scales_[name] = pair.second / pair.first;
 }
 
-std::vector<std::size_t> cost_submit_order(const std::vector<Scenario>& batch,
-                                           const CostModel& model,
-                                           std::size_t participants) {
+std::vector<std::size_t> cost_submit_order(const std::vector<Scenario>& batch) {
   const std::size_t n = batch.size();
-  std::vector<double> cost(n);
-  for (std::size_t i = 0; i < n; ++i) cost[i] = model.estimate_ms(batch[i]);
+  std::vector<double> units(n);
+  for (std::size_t i = 0; i < n; ++i)
+    units[i] = CostModel::estimate_units(batch[i]);
 
-  // Descending cost, ascending index on ties: deterministic for a given
-  // batch regardless of how the model was calibrated.
-  std::vector<std::size_t> by_cost(n);
-  std::iota(by_cost.begin(), by_cost.end(), 0);
-  std::stable_sort(by_cost.begin(), by_cost.end(),
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  // Stable, so ties keep ascending index order.
+  std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     if (cost[a] != cost[b]) return cost[a] > cost[b];
-                     return a < b;
+                     return units[a] > units[b];
                    });
-
-  std::size_t p = participants == 0 ? 1 : std::min(participants, n);
-  if (p <= 1 || n == 0) return by_cost;
-
-  // Round-robin deal into p lists, then concatenate. The executor seeds
-  // participant c with the contiguous chunk of submit indices whose sizes
-  // are n/p (+1 for the first n%p participants) and pops it in ascending
-  // order — exactly the chunk sizes the deal produces — so participant c's
-  // first task is the c-th heaviest cell and its queue descends from there.
-  std::vector<std::vector<std::size_t>> chunks(p);
-  for (std::size_t k = 0; k < n; ++k) chunks[k % p].push_back(by_cost[k]);
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  for (const std::vector<std::size_t>& chunk : chunks)
-    order.insert(order.end(), chunk.begin(), chunk.end());
   return order;
 }
 

@@ -1,22 +1,19 @@
-// Per-cell wall-clock cost estimation and cost-aware submission order.
+// Per-cell wall-clock cost estimation and the longest-first submission
+// order.
 //
 // A sweep's cells are wildly uneven: an analytic bound cell returns in
 // microseconds while an N=256 EconCast simulation runs for seconds, and the
 // expansion order (protocol → mode → N → ...) puts the expensive large-N
-// cells at the tail. Submitting in expansion order therefore ends every
-// parallel sweep with a straggler phase where most workers idle behind the
-// last big cells. The classic fix is LPT (longest processing time first)
-// scheduling, which is legal here because runner::SweepSession already
-// reorder-buffers out-of-order completions into index-ordered bytes — the
-// submission order is invisible in the results file.
+// cells at the tail; cost_submit_order below schedules around that.
 //
 // The model is deliberately coarse: a per-protocol polynomial in the node
 // count times the protocol's duration-like knob ("units"), optionally
 // scaled to milliseconds per protocol by calibration against observed cell
 // wall clocks persisted in the result cache (cell_cache.h stores wall_ms
-// and the predicted units with every entry). Ordering and load balancing
-// only need costs that are *relatively* right — a mis-estimated constant
-// factor shifts ETAs, never results.
+// and the predicted units with every entry). The calibrated scale feeds
+// the fabric's cost-balanced shard plans; ordering, ETAs and load
+// balancing only need costs that are *relatively* right — a mis-estimated
+// constant factor shifts ETAs, never results.
 #ifndef ECONCAST_RUNNER_COST_MODEL_H
 #define ECONCAST_RUNNER_COST_MODEL_H
 
@@ -58,17 +55,24 @@ class CostModel {
   std::map<std::string, double> scales_;
 };
 
-/// The LPT submission permutation for a pending batch: submit_order[k] is
-/// the batch index to run as the k-th submitted task. Cells are sorted by
-/// descending estimated cost (ties broken by ascending index, so the order
-/// is deterministic) and then dealt round-robin across `participants`
-/// contiguous chunks — matching exec::Executor's chunked seeding, so every
-/// participant starts on its own heaviest cell and steals hit the heaviest
-/// remaining work. participants == 0 or 1 degenerates to plain
-/// descending-cost order.
-std::vector<std::size_t> cost_submit_order(const std::vector<Scenario>& batch,
-                                           const CostModel& model,
-                                           std::size_t participants);
+/// The order ScenarioRunner submits a batch in on more than one thread:
+/// element k is the batch index to run as the k-th submitted task. Cells
+/// are sorted by descending estimate_units, ties broken by ascending index,
+/// so the order is a pure function of the batch. Uncalibrated units
+/// suffice: a per-protocol scale cannot reorder the cells of one protocol.
+///
+/// Why longest first: in expansion order a parallel sweep ends with a
+/// straggler phase, most threads idle behind the last big cells.
+/// exec::Executor hands each free participant the next index of one shared
+/// cursor, so this order is Graham's LPT list scheduling, which keeps the
+/// makespan within 4/3 of optimal (SIAM J. Appl. Math. 17:416, 1969). It
+/// cannot change output: every write is keyed by cell index and
+/// SweepSession reorder-buffers completions into index-ordered bytes. It
+/// costs checkpoint progress instead, because a finished cell reaches the
+/// results file only after every lower index (sweep_session.h). One thread
+/// keeps index order: there the makespan is the same in any order, and each
+/// cell checkpoints as soon as it finishes.
+std::vector<std::size_t> cost_submit_order(const std::vector<Scenario>& batch);
 
 }  // namespace econcast::runner
 

@@ -1,10 +1,12 @@
 #include "runner/scenario_runner.h"
 
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "runner/cost_model.h"
 #include "util/random.h"
 
 namespace econcast::runner {
@@ -29,13 +31,6 @@ std::size_t ScenarioRunner::effective_threads() const noexcept {
   return hw > 0 ? hw : 1;
 }
 
-void ScenarioRunner::for_each(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) const {
-  exec::Executor& executor =
-      options_.executor ? *options_.executor : exec::Executor::shared();
-  executor.parallel_for(n, fn, effective_threads());
-}
-
 Scenario econcast_scenario(std::string name, model::NodeSet nodes,
                            model::Topology topology, proto::SimConfig config) {
   return Scenario{std::move(name), std::move(nodes), std::move(topology),
@@ -43,41 +38,20 @@ Scenario econcast_scenario(std::string name, model::NodeSet nodes,
 }
 
 BatchResult ScenarioRunner::run(const std::vector<Scenario>& batch) const {
-  return run(batch, 0);
-}
-
-BatchResult ScenarioRunner::run(const std::vector<Scenario>& batch,
-                                std::uint64_t seed_offset) const {
   std::vector<std::uint64_t> seeds(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i)
-    seeds[i] = options_.reseed
-                   ? derive_seed(options_.base_seed, seed_offset + i)
-                   : protocol::effective_seed(batch[i].protocol);
+    seeds[i] = options_.reseed ? derive_seed(options_.base_seed, i)
+                               : protocol::effective_seed(batch[i].protocol);
   return run_with_seeds(batch, seeds);
 }
 
 BatchResult ScenarioRunner::run_with_seeds(
     const std::vector<Scenario>& batch,
-    const std::vector<std::uint64_t>& seeds,
-    const std::vector<std::size_t>& submit_order) const {
+    const std::vector<std::uint64_t>& seeds) const {
   if (seeds.size() != batch.size())
     throw std::invalid_argument(
         "run_with_seeds: " + std::to_string(seeds.size()) + " seeds for a " +
         std::to_string(batch.size()) + "-scenario batch");
-  if (!submit_order.empty()) {
-    if (submit_order.size() != batch.size())
-      throw std::invalid_argument(
-          "run_with_seeds: submit order of size " +
-          std::to_string(submit_order.size()) + " for a " +
-          std::to_string(batch.size()) + "-scenario batch");
-    std::vector<bool> seen(batch.size(), false);
-    for (const std::size_t i : submit_order) {
-      if (i >= batch.size() || seen[i])
-        throw std::invalid_argument(
-            "run_with_seeds: submit order is not a permutation of the batch");
-      seen[i] = true;
-    }
-  }
 
   // Validate the whole batch up front so a misconfigured scenario fails with
   // a deterministic, index-attributed error before any work is spawned:
@@ -106,12 +80,13 @@ BatchResult ScenarioRunner::run_with_seeds(
   out.results.resize(batch.size());
   std::vector<double> wall_ms(batch.size(), 0.0);
 
-  // `k` is the submission index; the scenario it runs is submit_order[k]
-  // (or k itself when no permutation was given). Every write below is
-  // confined to the *original* index i, so the permutation touches only
-  // which worker picks what up when — never any output.
+  // Submission order: see cost_submit_order. `k` is the submission index;
+  // every write below is confined to the *original* index i.
+  std::vector<std::size_t> order(batch.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (effective_threads() > 1) order = cost_submit_order(batch);
   const auto task = [&](std::size_t k) {
-    const std::size_t i = submit_order.empty() ? k : submit_order[k];
+    const std::size_t i = order[k];
     const Scenario& s = batch[i];
     // NOLINT-DETERMINISM(wall-clock): telemetry only — the measured wall
     // clock feeds cost-model calibration and progress ETAs, never results.
@@ -135,8 +110,7 @@ BatchResult ScenarioRunner::run_with_seeds(
   exec::Executor::ProgressFn progress;
   if (options_.on_scenario_done) {
     progress = [&](const exec::TaskProgress& p) {
-      const std::size_t i =
-          submit_order.empty() ? p.index : submit_order[p.index];
+      const std::size_t i = order[p.index];
       options_.on_scenario_done(ScenarioProgress{
           i, p.done, p.total, &batch[i], &out.results[i], wall_ms[i]});
     };

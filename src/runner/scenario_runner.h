@@ -10,21 +10,23 @@
 // Birthday, analytic bounds and custom protocols — and aggregates the
 // per-scenario SimResults into summary statistics.
 //
-// Execution is a thin client of the persistent work-stealing
-// exec::Executor: batches are submitted to exec::Executor::shared() (or an
-// executor of the caller's choosing) instead of spinning up and joining a
-// fresh thread pool per batch, so back-to-back sweeps reuse one warm pool.
+// Execution is a thin client of the persistent exec::Executor: batches are
+// submitted to exec::Executor::shared() (or an executor of the caller's
+// choosing) instead of spinning up and joining a fresh thread pool per
+// batch, so back-to-back sweeps reuse one warm pool. The submission order
+// is cost_submit_order (cost_model.h) on more than one thread, index order
+// on one.
 //
 // Determinism contract: each scenario i runs with
-//   seed = derive_seed(base_seed, seed_offset + i)
+//   seed = derive_seed(base_seed, i)
 // (unless reseeding is disabled, in which case the scenario's own seed —
 // protocol::effective_seed(scenario.protocol) — is used), every worker
 // writes only to its own result slot,
 // and aggregation happens in index order after the batch drains. The
-// aggregate output is therefore bit-identical for any thread count,
-// including 1 — covered by tests/test_runner.cpp. The seed_offset overload
-// lets a checkpointed sweep (runner::SweepSession) run any suffix of a batch
-// with exactly the seeds the full batch would have used.
+// aggregate output is therefore bit-identical for any thread count and
+// submission order, including 1 thread — covered by tests/test_runner.cpp.
+// run_with_seeds lets a checkpointed sweep (runner::SweepSession) run any
+// subset of a batch with exactly the seeds the full batch would have used.
 #ifndef ECONCAST_RUNNER_SCENARIO_RUNNER_H
 #define ECONCAST_RUNNER_SCENARIO_RUNNER_H
 
@@ -67,11 +69,12 @@ Scenario econcast_scenario(std::string name, model::NodeSet nodes,
                            model::Topology topology, proto::SimConfig config);
 
 /// Completion notice for one scenario of a running batch. Hooks are invoked
-/// in completion order (not index order), serialized under a mutex — `done`
-/// advances by exactly one per call and the hook body needs no locking of
-/// its own. `scenario` and `result` point into the submitted batch / the
-/// result vector under construction; `result` is fully written and any slot
-/// whose hook already fired is safe to read.
+/// in completion order (index order on one thread, see cost_model.h),
+/// serialized under a mutex — `done` advances by exactly one per call and
+/// the hook body needs no locking of its own. `scenario` and `result` point
+/// into the submitted batch / the result vector under construction;
+/// `result` is fully written and any slot whose hook already fired is safe
+/// to read.
 struct ScenarioProgress {
   std::size_t index = 0;  // position in the submitted batch
   std::size_t done = 0;   // scenarios completed so far, including this one
@@ -140,35 +143,13 @@ class ScenarioRunner {
   /// after all workers have stopped.
   BatchResult run(const std::vector<Scenario>& batch) const;
 
-  /// Same, but scenario i derives its seed from global index
-  /// (seed_offset + i) — the primitive behind resumable sweeps: running
-  /// cells [k, n) of an expanded sweep with seed_offset = k reproduces
-  /// exactly the seeds of positions [k, n) of the full batch.
-  BatchResult run(const std::vector<Scenario>& batch,
-                  std::uint64_t seed_offset) const;
-
   /// Fully explicit form: scenario i runs with seeds[i] (RunnerOptions
-  /// seeding is bypassed — the caller owns seed derivation), and tasks are
-  /// *submitted* in the order submit_order[0], submit_order[1], ... —
-  /// a permutation of [0, batch size), or empty for submission in index
-  /// order. Results, summaries and every ScenarioProgress field stay keyed
-  /// by the original batch index, so the submission order can never change
-  /// any output — it is purely a makespan knob (see cost_model.h, which
-  /// builds LPT permutations for it). Throws std::invalid_argument when
-  /// seeds/submit_order have the wrong size or submit_order is not a
-  /// permutation.
+  /// seeding is bypassed — the caller owns seed derivation). Results,
+  /// summaries and every ScenarioProgress field are keyed by batch index,
+  /// so the submission order never changes any output. Throws
+  /// std::invalid_argument when seeds has the wrong size.
   BatchResult run_with_seeds(const std::vector<Scenario>& batch,
-                             const std::vector<std::uint64_t>& seeds,
-                             const std::vector<std::size_t>& submit_order =
-                                 {}) const;
-
-  /// Low-level parallel for: invokes fn(i) for every i in [0, n) across the
-  /// executor. fn must confine its writes to per-index state. The first
-  /// exception thrown by any invocation is rethrown after the batch drains;
-  /// remaining indices are abandoned. Exposed for sweeps whose unit of work
-  /// is not a protocol Sim (e.g. the Fig. 2 oracle-ratio cells).
-  void for_each(std::size_t n,
-                const std::function<void(std::size_t)>& fn) const;
+                             const std::vector<std::uint64_t>& seeds) const;
 
   std::size_t effective_threads() const noexcept;
 

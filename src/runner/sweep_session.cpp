@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "protocol/protocol_json.h"
-#include "runner/cost_model.h"
 
 namespace econcast::runner {
 
@@ -161,9 +160,9 @@ std::size_t SweepSession::run(std::size_t limit) {
 
   // Completion-order reorder buffer (the hook below is serialized by the
   // executor): buffer out-of-order cells, append the ready prefix so the
-  // file never has gaps, then report session-global progress. The file
-  // bytes depend only on cell indices — never on where a result came from
-  // (cache or execution) or what order the executor finished in.
+  // file never has gaps, then report the finished cell. The file bytes
+  // depend only on cell indices — never on where a result came from (cache
+  // or execution) or what order the executor finished in.
   std::vector<const protocol::SimResult*> ready(todo, nullptr);
   for (std::size_t local = 0; local < todo; ++local)
     if (cached[local]) ready[local] = &*cached[local];
@@ -176,21 +175,26 @@ std::size_t SweepSession::run(std::size_t limit) {
         throw std::runtime_error("write to results file '" + results_path_ +
                                  "' failed");
       ++next_flush;
-      if (options_.on_cell_done) {
-        ScenarioProgress global;
-        global.index = begin_ + completed_.size() - 1;  // global cell index
-        global.done = completed_.size();
-        global.total = cell_count();
-        global.scenario = &batch_[global.index];
-        global.result = &completed_.back();
-        options_.on_cell_done(global);
-      }
     }
+  };
+  std::size_t finished = completed_.size();  // checkpointed or buffered
+  const auto report = [&](std::size_t local) {
+    ++finished;
+    if (!options_.on_cell_done) return;
+    ScenarioProgress global;
+    global.index = offset + local;  // global cell index
+    global.done = finished;
+    global.total = cell_count();
+    global.scenario = &batch_[global.index];
+    global.result = ready[local];
+    options_.on_cell_done(global);
   };
 
   // Checkpoint the cached prefix before any execution: if a later miss
   // throws, every hit already flushed stays on disk.
   flush_ready();
+  for (std::size_t local = 0; local < todo; ++local)
+    if (cached[local]) report(local);
 
   if (!miss_local.empty()) {
     std::vector<Scenario> pending;
@@ -206,9 +210,8 @@ std::size_t SweepSession::run(std::size_t limit) {
     runner_options.num_threads = options_.num_threads;
     runner_options.executor = options_.executor;
     runner_options.on_scenario_done = [&](const ScenarioProgress& p) {
-      // p.index is the cell's position in `pending` regardless of the
-      // submission permutation (run_with_seeds keys progress by original
-      // batch index).
+      // p.index is the cell's position in `pending` whatever order it ran
+      // in (run_with_seeds keys progress by batch index).
       const std::size_t local = miss_local[p.index];
       if (options_.cache) {
         try {
@@ -221,16 +224,10 @@ std::size_t SweepSession::run(std::size_t limit) {
       }
       ready[local] = p.result;
       flush_ready();
+      report(local);
     };
 
-    const ScenarioRunner runner(runner_options);
-    std::vector<std::size_t> order;  // empty = submission in index order
-    if (options_.order == SubmitOrder::kCost && pending.size() > 1) {
-      CostModel model;
-      if (options_.cache) model.calibrate_from_cache(options_.cache->dir());
-      order = cost_submit_order(pending, model, runner.effective_threads());
-    }
-    runner.run_with_seeds(pending, seeds, order);
+    ScenarioRunner(runner_options).run_with_seeds(pending, seeds);
   }
   return todo;
 }

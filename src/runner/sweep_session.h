@@ -12,20 +12,20 @@
 //
 // Results stream through ScenarioRunner's on_scenario_done hook: cells
 // complete on executor threads in any order, the hook (serialized) buffers
-// out-of-order completions and appends the ready prefix, so a crash never
-// loses more than the cells still in flight.
+// out-of-order completions and appends the ready prefix. On one thread the
+// cells run in index order, so each one is checkpointed as soon as it
+// finishes. On more threads they start longest-first (cost_model.h) and a
+// finished cell waits in the buffer until every lower index has finished.
+// When cost rises with index, as in the usual expansion, the lowest pending
+// cell is the cheapest and runs last: a kill before it finishes loses every
+// cell the run has finished so far. Lost cells rerun byte-identically on
+// resume, and run(limit) checkpoints exactly `limit` cells either way.
 //
-// Two throughput layers sit on top (both output-invisible by construction):
-//  - A content-addressed CellCache (cell_cache.h). Before submitting the
-//    pending range, the session probes every cell; hits are fed straight
-//    into the reorder buffer and only misses run. Completed misses are
-//    published back. A warm rerun therefore executes zero cells while
-//    producing byte-identical results files.
-//  - Cost-model submission order (cost_model.h). With SubmitOrder::kCost the
-//    pending misses are submitted longest-expected-first (LPT), shrinking
-//    the makespan tail where one heavy cell lands last on a busy pool. The
-//    reorder buffer already writes the file in index order no matter what
-//    order cells complete in, which is what makes reordering legal.
+// A content-addressed CellCache (cell_cache.h) sits on top, output-invisible
+// by construction: before submitting the pending range, the session probes
+// every cell; hits are fed straight into the reorder buffer and only misses
+// run. Completed misses are published back. A warm rerun therefore executes
+// zero cells while producing byte-identical results files.
 #ifndef ECONCAST_RUNNER_SWEEP_SESSION_H
 #define ECONCAST_RUNNER_SWEEP_SESSION_H
 
@@ -56,22 +56,17 @@ std::uint64_t manifest_cell_seed(const SweepManifest& manifest,
 
 class SweepSession {
  public:
-  /// Order the pending cells are handed to the executor in. Either way the
-  /// results file is written in cell-index order — this is a makespan knob.
-  enum class SubmitOrder {
-    kExpansion,  // manifest expansion order (index order)
-    kCost,       // longest-expected-first per the calibrated cost model
-  };
-
   struct Options {
     /// Thread cap for the cell batches; 0 = hardware_concurrency.
     std::size_t num_threads = 0;
     /// Executor to submit to; null = exec::Executor::shared().
     std::shared_ptr<exec::Executor> executor;
-    /// Per-cell completion hook: `index` is the cell's global manifest index
-    /// and `done`/`total` count the session's completed cells including
-    /// those loaded from a previous run. Serialized; invoked after the
-    /// cell's line has been appended to the results file.
+    /// Per-cell hook, invoked as each cell finishes: cache hits first, in
+    /// index order, then executed cells in completion order. `index` is the
+    /// cell's global manifest index and `done`/`total` count the session's
+    /// finished cells including those loaded from a previous run.
+    /// Serialized. The ready prefix is appended to the results file before
+    /// the call; on more than one thread that need not include this cell.
     std::function<void(const ScenarioProgress&)> on_cell_done;
     /// Restrict the session to the contiguous expansion range
     /// [cell_begin, cell_end) — the primitive behind sharded sweeps
@@ -89,10 +84,6 @@ class SweepSession {
     /// may back many sessions — CellCache keeps per-instance stats, and the
     /// on-disk directory is multi-process safe.
     std::shared_ptr<CellCache> cache;
-    /// See SubmitOrder. kCost calibrates a CostModel from the cache
-    /// directory (when a cache is attached) so the ordering improves as
-    /// observed wall clocks accumulate.
-    SubmitOrder order = SubmitOrder::kExpansion;
   };
 
   /// Opens a session: expands the manifest, loads the completed prefix from
@@ -132,9 +123,8 @@ class SweepSession {
   /// Runs up to `limit` of the remaining cells (0 = all remaining),
   /// appending each completed cell to the results file. Returns the number
   /// of newly completed cells. Safe to call repeatedly; a no-op when the
-  /// session is already complete. If a cell throws, every cell completed
-  /// before the failure is already checkpointed and the exception is
-  /// rethrown.
+  /// session is already complete. If a cell throws, the completed prefix
+  /// of cells is already checkpointed and the exception is rethrown.
   std::size_t run(std::size_t limit = 0);
 
   /// Index-ordered results and summary over this session's cell range.

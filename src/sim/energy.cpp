@@ -1,37 +1,9 @@
 #include "sim/energy.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace econcast::sim {
-
-void EnergyStore::settle(double now) noexcept {
-  const double dt = now - last_;
-  if (dt > 0.0) {
-    level_ = std::clamp(level_ + (harvest_ - draw_) * dt, min_, max_);
-    consumed_ += draw_ * dt;
-    last_ = now;
-  }
-}
-
-void EnergyStore::set_draw(double draw, double now) noexcept {
-  settle(now);
-  draw_ = draw;
-}
-
-double EnergyStore::level(double now) const noexcept {
-  const double dt = now - last_;
-  return std::clamp(level_ + (harvest_ - draw_) * dt, min_, max_);
-}
-
-double EnergyStore::consumed(double now) const noexcept {
-  const double dt = now - last_;
-  return consumed_ + (dt > 0.0 ? draw_ * dt : 0.0);
-}
-
-void EnergyStore::set_bounds(double min_level, double max_level) noexcept {
-  min_ = min_level;
-  max_ = max_level;
-}
 
 EnergyLedger::EnergyLedger(Arena* arena)
     : harvest_(ArenaAllocator<double>(arena)),

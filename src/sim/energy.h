@@ -5,57 +5,15 @@
 #define ECONCAST_SIM_ENERGY_H
 
 #include <cstddef>
-#include <limits>
 
 #include "sim/arena.h"
 
 namespace econcast::sim {
 
-class EnergyStore {
- public:
-  /// harvest_rate: the node's power budget ρ (inflow). initial_level: b(0).
-  EnergyStore(double harvest_rate, double initial_level = 0.0) noexcept
-      : harvest_(harvest_rate), level_(initial_level) {}
-
-  /// Changes the instantaneous draw (state change). Settles the balance
-  /// first; `now` must be non-decreasing across calls.
-  void set_draw(double draw, double now) noexcept;
-
-  /// Storage level at `now` (>= last settle point), with clamping applied.
-  double level(double now) const noexcept;
-
-  /// Total energy consumed (integral of draw) up to `now`.
-  double consumed(double now) const noexcept;
-
-  /// Optional clamping bounds (default: unbounded, the paper's idealized
-  /// virtual battery). With a lower bound, deficit beyond the bound is lost
-  /// (the node browns out); with an upper bound, surplus harvest is wasted
-  /// (capacitor full). Clamping is applied at settle points, so set bounds
-  /// before the first set_draw.
-  void set_bounds(double min_level, double max_level) noexcept;
-
-  double harvest_rate() const noexcept { return harvest_; }
-  double draw() const noexcept { return draw_; }
-
- private:
-  void settle(double now) noexcept;
-
-  double harvest_;
-  double draw_ = 0.0;
-  double level_;
-  double consumed_ = 0.0;
-  double last_ = 0.0;
-  double min_ = -std::numeric_limits<double>::infinity();
-  double max_ = std::numeric_limits<double>::infinity();
-};
-
-/// Struct-of-arrays EnergyStore for a whole node population: the per-node
-/// balances live in parallel (optionally arena-backed) arrays, so the
-/// simulation inner loops touch one dense double per node instead of a
-/// scattered 7-field struct. The arithmetic is field-for-field identical to
-/// EnergyStore — same settle/clamp expressions in the same order — so a
-/// ledger slot and a store fed the same call sequence stay bit-equal (the
-/// unit tests assert this).
+/// Energy storage for a whole node population, struct-of-arrays: the
+/// per-node balances live in parallel (optionally arena-backed) arrays, so
+/// the simulation inner loops touch one dense double per node instead of
+/// one scattered struct per node. Each slot settles at its change points.
 class EnergyLedger {
  public:
   explicit EnergyLedger(Arena* arena = nullptr);
@@ -75,7 +33,11 @@ class EnergyLedger {
   /// Total energy consumed (integral of draw) up to `now`.
   double consumed(std::size_t i, double now) const noexcept;
 
-  /// See EnergyStore::set_bounds.
+  /// Optional clamping bounds (default: unbounded, the paper's idealized
+  /// virtual battery). With a lower bound, deficit beyond the bound is lost
+  /// (the node browns out); with an upper bound, surplus harvest is wasted
+  /// (capacitor full). Clamping is applied at settle points, so set bounds
+  /// before the slot's first set_draw.
   void set_bounds(std::size_t i, double min_level, double max_level) noexcept;
 
   double harvest_rate(std::size_t i) const noexcept { return harvest_[i]; }

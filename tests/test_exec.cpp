@@ -1,11 +1,13 @@
-// Tests for the persistent work-stealing executor: full index coverage
-// (exactly once) across pool shapes, persistence of one pool across many
-// batches, parallelism caps, the serialized per-task progress contract,
-// exception propagation with abandonment, nested-call inlining, and
-// graceful shutdown.
+// Tests for the persistent shared-cursor executor: full index coverage
+// (exactly once) across pool shapes, claims in ascending index order,
+// persistence of one pool across many batches, parallelism caps, the
+// serialized per-task progress contract, exception propagation with
+// abandonment, nested-call inlining, and graceful shutdown.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <mutex>
 #include <numeric>
@@ -30,6 +32,37 @@ TEST(Executor, CoversAllIndicesExactlyOnce) {
     pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
   }
+}
+
+TEST(Executor, ClaimsIndicesInOrder) {
+  // Every participant takes the lowest unclaimed index, so with two
+  // participants the first two tasks to start are 0 and 1 — the property
+  // that turns a longest-first submission into list scheduling. Tasks 0
+  // and 1 wait for each other, so neither finishes before both have
+  // started; the timeout keeps a participant that never joins from hanging
+  // the test, and then task 0 reports that it waited alone.
+  Executor pool(1);
+  constexpr std::size_t kTasks = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::size_t> started;
+  std::size_t at_rendezvous = 0;
+  std::size_t met = 0;  // tasks of 0 and 1 that saw the other arrive
+  pool.parallel_for(kTasks, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mu);
+    started.push_back(i);
+    if (i < 2) {
+      ++at_rendezvous;
+      cv.notify_all();
+      if (cv.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return at_rendezvous == 2; }))
+        ++met;
+    }
+  });
+  ASSERT_EQ(started.size(), kTasks);
+  EXPECT_EQ(met, 2u) << "tasks 0 and 1 did not run on two participants";
+  EXPECT_EQ((std::set<std::size_t>{started[0], started[1]}),
+            (std::set<std::size_t>{0, 1}));
 }
 
 TEST(Executor, ZeroTasksIsANoOp) {

@@ -1,7 +1,7 @@
 // Executor stress suite: the concurrency patterns the plain unit tests in
 // test_exec.cpp exercise one at a time, here hammered together so a data
-// race in the deque steal path, batch retirement, progress serialization,
-// or shutdown has a real chance to interleave. This binary is the primary
+// race in the claim cursor, batch retirement, progress serialization, or
+// shutdown has a real chance to interleave. This binary is the primary
 // TSan target (built in CI with -DECONCAST_SANITIZE=thread); keep the
 // workloads small — under TSan every iteration costs ~10-20x.
 #include <gtest/gtest.h>
@@ -127,11 +127,11 @@ TEST(ExecutorStress, ExceptionsUnderContentionLeavePoolUsable) {
   EXPECT_EQ(after.load(), 32);
 }
 
-TEST(ExecutorStress, ProgressSerializationHoldsUnderStealing) {
+TEST(ExecutorStress, ProgressSerializationHoldsUnderContention) {
   // The progress contract (serialized, done advances by exactly one) is
   // what lets SweepSession write checkpoints without a lock. Verify it on
-  // purpose under heavy stealing: tiny tasks, many participants — the
-  // callback body deliberately touches unsynchronized state.
+  // purpose under heavy claim contention: tiny tasks, many participants —
+  // the callback body deliberately touches unsynchronized state.
   Executor pool(4);
   for (int round = 0; round < 10; ++round) {
     const std::size_t n = 257;
@@ -166,7 +166,7 @@ TEST(ExecutorStress, ChurnConstructDestroyWhileWorking) {
 TEST(ExecutorStress, DestructionRacesIdleWakeups) {
   // A pool destroyed right after its last batch — while workers may still
   // be between the batch-retired wakeup and the next wait — must join
-  // cleanly. Alternate batch sizes so some rounds end with stealing active.
+  // cleanly. Vary batch sizes so some rounds end with claims in flight.
   Lcg rng(7);
   for (int round = 0; round < 30; ++round) {
     const std::size_t n = 1 + rng.next() % 33;

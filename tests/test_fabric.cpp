@@ -491,6 +491,45 @@ TEST(Fabric, WorkerRespectsRivalClaimAndHeartbeats) {
   for (std::size_t i = 0; i < beats.size(); ++i) EXPECT_EQ(beats[i], i + 1);
 }
 
+TEST(Fabric, HeartbeatsAsCellsFinishBeforeTheyCheckpoint) {
+  // Cost rises with index, so on two threads cell 0 is claimed last and no
+  // line can reach the shard file before it finishes. The claim must still
+  // advance with every finished cell: the lease only has to outlast one
+  // cell's wall clock.
+  const fs::path dir = test_dir();
+  proto::SimConfig cfg;
+  cfg.duration = 4e3;
+  cfg.warmup = 5e2;
+  const std::string manifest_path = write_spool_manifest(
+      dir, runner::SweepManifest(runner::SweepSpec("rising")
+                                     .protocols({protocol::econcast_spec(cfg)})
+                                     .node_counts({3, 4, 5, 6, 7, 8})
+                                     .sigmas({0.5}),
+                                 /*seed=*/7, true));
+  const std::string claim_path = fabric::shard_claim_path(manifest_path, 0, 1);
+  const std::string results_path =
+      fabric::shard_results_path(manifest_path, 0, 1);
+
+  std::vector<std::uint64_t> beats;
+  std::size_t beats_before_first_line = 0;
+  fabric::Worker::Options options;
+  options.worker_id = "rising";
+  options.num_threads = 2;
+  options.on_cell_done = [&](const runner::ScenarioProgress&) {
+    beats.push_back(fabric::load_claim(claim_path).cells_done);
+    if (slurp(results_path).empty()) ++beats_before_first_line;
+  };
+  const fabric::Worker::Outcome outcome =
+      fabric::Worker(manifest_path, 0, 1, options).run();
+  ASSERT_TRUE(outcome.shard_complete);
+  ASSERT_EQ(outcome.shard_cells, 6u);
+  ASSERT_EQ(beats.size(), outcome.shard_cells);
+  for (std::size_t i = 0; i < beats.size(); ++i) EXPECT_EQ(beats[i], i + 1);
+  // When cell 0 is claimed at most one other cell is still running, so at
+  // least four of the five others have finished and heartbeat by then.
+  EXPECT_GE(beats_before_first_line, outcome.shard_cells - 2);
+}
+
 TEST(Fabric, MergerRejectsMissingShortAndTamperedShards) {
   const fs::path dir = test_dir();
   const std::string manifest_path =

@@ -1,17 +1,19 @@
 // Tests for the parallel scenario runner: the determinism contract (thread
 // count must not affect any output bit, including for batches that mix
-// protocols), batch validation (topology/node-count mismatch, unknown
-// protocol), edge cases (empty batch, single scenario), seed derivation, and
-// exception propagation out of the pool.
+// protocols), index-order completions on one thread and longest-first
+// starts on two, batch validation (topology/node-count mismatch, unknown
+// protocol), edge cases (empty batch, single scenario), seed derivation,
+// and exception propagation out of the pool.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
+#include "runner/cost_model.h"
 #include "runner/scenario_runner.h"
 
 namespace {
@@ -255,6 +257,44 @@ TEST(ScenarioRunner, MixedProtocolBatchBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ScenarioRunner, OneThreadReportsCompletionsInIndexOrder) {
+  // Only multi-threaded batches start longest-first; one thread runs in
+  // index order, so a checkpointing session can flush every cell as soon
+  // as it finishes.
+  const std::vector<Scenario> batch = mixed_batch();
+  std::vector<std::size_t> index_order(batch.size());
+  std::iota(index_order.begin(), index_order.end(), std::size_t{0});
+  ASSERT_NE(runner::cost_submit_order(batch), index_order);
+
+  RunnerOptions options{1, 7, true};
+  std::vector<std::size_t> reported;
+  options.on_scenario_done = [&reported](const runner::ScenarioProgress& p) {
+    reported.push_back(p.index);
+  };
+  ScenarioRunner(options).run(batch);
+  EXPECT_EQ(reported, index_order);
+}
+
+TEST(ScenarioRunner, TwoThreadBatchStartsLongestFirst) {
+  // Two participants claim the two longest cells first, and neither claims
+  // again before its first cell has been reported, so one of those two is
+  // the first completion however the threads are timed. In index order it
+  // would be cell 0 or 1.
+  const std::vector<Scenario> batch = mixed_batch();
+  const std::vector<std::size_t> order = runner::cost_submit_order(batch);
+  ASSERT_GT(std::min(order[0], order[1]), 1u);
+
+  RunnerOptions options{2, 7, true};
+  std::vector<std::size_t> reported;
+  options.on_scenario_done = [&reported](const runner::ScenarioProgress& p) {
+    reported.push_back(p.index);
+  };
+  ScenarioRunner(options).run(batch);
+  ASSERT_EQ(reported.size(), batch.size());
+  EXPECT_TRUE(reported[0] == order[0] || reported[0] == order[1])
+      << "first completion: cell " << reported[0];
+}
+
 TEST(ScenarioRunner, MoreThreadsThanScenarios) {
   const std::vector<Scenario> batch{small_scenario(3, model::Mode::kAnyput, 0.5),
                                     small_scenario(4, model::Mode::kAnyput, 0.5)};
@@ -280,31 +320,6 @@ TEST(ScenarioRunner, ScenarioFailurePropagates) {
     ScenarioRunner r(RunnerOptions{threads, 7, true});
     EXPECT_THROW(r.run(batch), std::invalid_argument);
   }
-}
-
-TEST(ScenarioRunner, ForEachPropagatesFirstException) {
-  ScenarioRunner r(RunnerOptions{4, 1, true});
-  std::atomic<int> calls{0};
-  EXPECT_THROW(
-      r.for_each(100,
-                 [&](std::size_t i) {
-                   calls.fetch_add(1);
-                   if (i == 13) throw std::runtime_error("boom");
-                 }),
-      std::runtime_error);
-  // Workers stop early once a failure is flagged; at minimum the failing
-  // index ran, and no more than the full batch.
-  EXPECT_GE(calls.load(), 1);
-  EXPECT_LE(calls.load(), 100);
-}
-
-TEST(ScenarioRunner, ForEachCoversAllIndicesOnce) {
-  ScenarioRunner r(RunnerOptions{4, 1, true});
-  std::vector<int> hits(257, 0);
-  r.for_each(hits.size(), [&](std::size_t i) { hits[i] += 1; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
-            static_cast<int>(hits.size()));
-  for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the simulator substrate: energy store, channel bookkeeping
+// Tests for the simulator substrate: energy ledger, channel bookkeeping
 // (CSMA + non-clique corruption), and the metrics collector. The event
 // queue has its own suite, test_event_queue.cpp.
 #include <gtest/gtest.h>
@@ -13,47 +13,56 @@ namespace {
 using namespace econcast;
 using namespace econcast::sim;
 
-// ------------------------------------------------------------ energy store --
+// ----------------------------------------------------------- energy ledger --
 
-TEST(EnergyStore, HarvestOnlyAccumulates) {
-  EnergyStore e(2.0, 1.0);
-  EXPECT_DOUBLE_EQ(e.level(3.0), 7.0);  // 1 + 2*3
-  EXPECT_DOUBLE_EQ(e.consumed(3.0), 0.0);
+TEST(EnergyLedger, HarvestOnlyAccumulates) {
+  EnergyLedger e;
+  const std::size_t i = e.add(2.0, 1.0);
+  EXPECT_DOUBLE_EQ(e.level(i, 3.0), 7.0);  // 1 + 2*3
+  EXPECT_DOUBLE_EQ(e.consumed(i, 3.0), 0.0);
 }
 
-TEST(EnergyStore, DrawReducesLevel) {
-  EnergyStore e(1.0);
-  e.set_draw(3.0, 0.0);
-  EXPECT_DOUBLE_EQ(e.level(2.0), -4.0);  // (1-3)*2
-  EXPECT_DOUBLE_EQ(e.consumed(2.0), 6.0);
+TEST(EnergyLedger, DrawReducesLevel) {
+  EnergyLedger e;
+  const std::size_t i = e.add(1.0, 0.0);
+  e.set_draw(i, 3.0, 0.0);
+  EXPECT_DOUBLE_EQ(e.level(i, 2.0), -4.0);  // (1-3)*2
+  EXPECT_DOUBLE_EQ(e.consumed(i, 2.0), 6.0);
 }
 
-TEST(EnergyStore, PiecewiseAccounting) {
-  EnergyStore e(1.0);
-  e.set_draw(2.0, 0.0);   // net -1 for 5 units
-  e.set_draw(0.0, 5.0);   // net +1 for 5 units
-  EXPECT_DOUBLE_EQ(e.level(10.0), 0.0);
-  EXPECT_DOUBLE_EQ(e.consumed(10.0), 10.0);
+TEST(EnergyLedger, PiecewiseAccounting) {
+  EnergyLedger e;
+  const std::size_t i = e.add(1.0, 0.0);
+  e.set_draw(i, 2.0, 0.0);  // net -1 for 5 units
+  e.set_draw(i, 0.0, 5.0);  // net +1 for 5 units
+  EXPECT_DOUBLE_EQ(e.level(i, 10.0), 0.0);
+  EXPECT_DOUBLE_EQ(e.consumed(i, 10.0), 10.0);
 }
 
-TEST(EnergyStore, ClampingBounds) {
-  EnergyStore e(1.0, 0.0);
-  e.set_bounds(0.0, 3.0);
-  e.set_draw(0.0, 0.0);
+TEST(EnergyLedger, ClampingBoundsArePerSlot) {
+  EnergyLedger e;
+  const std::size_t free_slot = e.add(1.0, 0.0);
+  const std::size_t i = e.add(1.0, 0.0);
+  e.set_bounds(i, 0.0, 3.0);
+  e.set_draw(i, 0.0, 0.0);
   // Harvest beyond the cap is wasted.
-  e.set_draw(5.0, 10.0);  // settle at t=10: level clamped to 3
-  EXPECT_DOUBLE_EQ(e.level(10.0), 3.0);
+  e.set_draw(i, 5.0, 10.0);  // settle at t=10: level clamped to 3
+  EXPECT_DOUBLE_EQ(e.level(i, 10.0), 3.0);
   // Deficit beyond the floor is lost.
-  e.set_draw(0.0, 20.0);  // (1-5)*10 would be -37; clamped to 0 at settle
-  EXPECT_DOUBLE_EQ(e.level(20.0), 0.0);
+  e.set_draw(i, 0.0, 20.0);  // (1-5)*10 would be -37; clamped to 0 at settle
+  EXPECT_DOUBLE_EQ(e.level(i, 20.0), 0.0);
+  // The neighboring slot stays unbounded and untouched.
+  EXPECT_DOUBLE_EQ(e.level(free_slot, 20.0), 20.0);
+  EXPECT_DOUBLE_EQ(e.consumed(free_slot, 20.0), 0.0);
 }
 
-TEST(EnergyStore, QueryDoesNotMutate) {
-  EnergyStore e(1.0);
-  e.set_draw(2.0, 0.0);
-  EXPECT_DOUBLE_EQ(e.level(1.0), -1.0);
-  EXPECT_DOUBLE_EQ(e.level(1.0), -1.0);  // idempotent
-  EXPECT_DOUBLE_EQ(e.consumed(1.0), 2.0);
+TEST(EnergyLedger, QueryDoesNotMutate) {
+  EnergyLedger e;
+  const std::size_t i = e.add(1.0, 0.0);
+  e.set_draw(i, 2.0, 0.0);
+  EXPECT_DOUBLE_EQ(e.level(i, 1.0), -1.0);
+  EXPECT_DOUBLE_EQ(e.level(i, 1.0), -1.0);  // idempotent
+  EXPECT_DOUBLE_EQ(e.consumed(i, 1.0), 2.0);
 }
 
 // ---------------------------------------------------------------- channel --

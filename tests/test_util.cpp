@@ -1,5 +1,4 @@
-// Unit tests for the util substrate: RNG, log-sum-exp, statistics, tables,
-// rational approximation.
+// Unit tests for the util substrate: RNG, log-sum-exp, statistics, tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +6,6 @@
 
 #include "util/logsumexp.h"
 #include "util/random.h"
-#include "util/rational.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -312,39 +310,6 @@ TEST(TableTest, RowWidthMismatchThrows) {
 TEST(FormatTest, FixedAndScientific) {
   EXPECT_EQ(format_double(1.23456, 2), "1.23");
   EXPECT_EQ(format_sci(12345.0, 2), "1.23e+04");
-}
-
-// -------------------------------------------------------------- rational --
-
-TEST(RationalTest, ExactFractions) {
-  const Rational r = approximate_rational(0.75, 100);
-  EXPECT_EQ(r.num, 3);
-  EXPECT_EQ(r.den, 4);
-}
-
-TEST(RationalTest, BoundedDenominator) {
-  const Rational r = approximate_rational(M_PI, 1000);
-  EXPECT_LE(r.den, 1000);
-  EXPECT_NEAR(r.value(), M_PI, 1e-6);  // 355/113 territory
-}
-
-TEST(RationalTest, ZeroAndIntegers) {
-  EXPECT_EQ(approximate_rational(0.0, 10).num, 0);
-  const Rational r = approximate_rational(42.0, 10);
-  EXPECT_EQ(r.num, 42);
-  EXPECT_EQ(r.den, 1);
-}
-
-TEST(RationalTest, RejectsNegativeAndBadDen) {
-  EXPECT_THROW(approximate_rational(-1.0, 10), std::invalid_argument);
-  EXPECT_THROW(approximate_rational(1.0, 0), std::invalid_argument);
-}
-
-TEST(RationalTest, GcdLcm) {
-  EXPECT_EQ(gcd64(12, 18), 6);
-  EXPECT_EQ(gcd64(7, 13), 1);
-  EXPECT_EQ(lcm64_checked(4, 6, 1000), 12);
-  EXPECT_THROW(lcm64_checked(1000000, 999999, 1000), std::overflow_error);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // the merge step that combines shard files into the canonical results.
 //
 //   econcast_sweep <manifest.json> [--results PATH] [--threads N]
-//                  [--limit N] [--cache DIR|off] [--order NAME] [--fresh]
-//                  [--progress] [--quiet]
+//                  [--limit N] [--cache DIR|off] [--fresh] [--progress]
+//                  [--quiet]
 //   econcast_sweep <manifest.json> --dry-run
 //   econcast_sweep <manifest.json> --shard I/K [--worker-id ID] [--threads N]
 //                  [--limit N] [--cache DIR|off] [--progress]
@@ -15,7 +15,10 @@
 // loaded, a partially written trailing line (from a kill) is truncated, and
 // only the remaining cells execute — the final file is byte-identical to an
 // uninterrupted run. --limit N checkpoints after N new cells and exits,
-// which is how CI exercises the kill/resume path deterministically.
+// which is how CI exercises the kill/resume path deterministically. The
+// file is always an index-ordered prefix, so on more than one thread a kill
+// also loses every finished cell above the lowest unfinished one (see
+// runner/sweep_session.h).
 //
 // --shard I/K claims shard I of a K-way split (src/fabric): the shard's
 // cells stream to <manifest>.fabric/shard-I-of-K.jsonl under a heartbeating
@@ -32,6 +35,7 @@
 //   2  usage error — bad flags; nothing was read or written
 //   3  manifest failure — the file named in the message is unreadable,
 //      unparsable or invalid; retrying cannot succeed
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -73,7 +77,7 @@ double telemetry_now_s() {
   std::fprintf(
       stderr,
       "usage: %s <manifest.json> [--results PATH] [--threads N]\n"
-      "       [--limit N] [--cache DIR|off] [--order NAME]\n"
+      "       [--limit N] [--cache DIR|off]\n"
       "       [--fresh] [--progress] [--quiet]\n"
       "   or: %s <manifest.json> --dry-run\n"
       "   or: %s <manifest.json> --shard I/K [--worker-id ID] [options]\n"
@@ -84,19 +88,18 @@ double telemetry_now_s() {
       "  --results PATH  results JSONL (default: manifest path with\n"
       "                  .json replaced by .results.jsonl); with --merge,\n"
       "                  where the merged file is written\n"
-      "  --threads N     cap worker threads (default: all cores)\n"
+      "  --threads N     cap worker threads (default: all cores); with\n"
+      "                  more than one, the longest cells start first and\n"
+      "                  a kill loses every finished cell above the lowest\n"
+      "                  unfinished one (the checkpoint is an index prefix)\n"
       "  --limit N       stop after N newly completed cells; rerun\n"
       "                  to resume from the checkpoint\n"
       "  --cache DIR     content-addressed result cache: cells already in\n"
       "                  DIR skip execution, new cells are published; the\n"
       "                  results file is byte-identical either way\n"
       "                  ('off', the default, disables caching)\n"
-      "  --order NAME    submission order for pending cells: expansion\n"
-      "                  (default) or cost (longest-expected-first per the\n"
-      "                  calibrated cost model; same results, smaller\n"
-      "                  makespan on skewed sweeps)\n"
       "  --fresh         discard an existing results file first\n"
-      "  --progress      print a line per completed cell to stderr\n"
+      "  --progress      print a line per finished cell to stderr\n"
       "  --quiet         suppress the completion summary\n"
       "  --dry-run       parse + validate the manifest, print the cell\n"
       "                  count and axes, execute nothing\n"
@@ -266,8 +269,6 @@ int main(int argc, char** argv) {
   std::string results_path;
   std::string worker_id;
   std::string cache_dir;  // empty = caching off
-  bool cost_order = false;
-  bool order_set = false;
   std::size_t threads = 0;
   std::size_t limit = 0;
   std::size_t shard = 0;
@@ -302,15 +303,6 @@ int main(int argc, char** argv) {
       cache_dir = value();
       if (cache_dir.empty()) usage(argv[0]);
       if (cache_dir == "off") cache_dir.clear();
-    } else if (std::strcmp(arg, "--order") == 0) {
-      const char* order = value();
-      if (std::strcmp(order, "cost") == 0)
-        cost_order = true;
-      else if (std::strcmp(order, "expansion") == 0)
-        cost_order = false;
-      else
-        usage(argv[0]);
-      order_set = true;
     } else if (std::strcmp(arg, "--fresh") == 0) {
       fresh = true;
     } else if (std::strcmp(arg, "--progress") == 0) {
@@ -338,10 +330,9 @@ int main(int argc, char** argv) {
   if ((dry_run ? 1 : 0) + (sharded ? 1 : 0) + (merge ? 1 : 0) > 1)
     usage(argv[0]);
   if (sharded && (fresh || !results_path.empty())) usage(argv[0]);
-  if (merge && (fresh || limit > 0 || !cache_dir.empty() || order_set))
-    usage(argv[0]);
-  if (dry_run && (fresh || limit > 0 || !results_path.empty() ||
-                  !cache_dir.empty() || order_set))
+  if (merge && (fresh || limit > 0 || !cache_dir.empty())) usage(argv[0]);
+  if (dry_run &&
+      (fresh || limit > 0 || !results_path.empty() || !cache_dir.empty()))
     usage(argv[0]);
   if (results_path.empty() && !sharded)
     results_path = runner::SweepSession::default_results_path(manifest_path);
@@ -422,40 +413,41 @@ int main(int argc, char** argv) {
     options.num_threads = threads;
     if (!cache_dir.empty())
       options.cache = std::make_shared<runner::CellCache>(cache_dir);
-    options.order = cost_order ? runner::SweepSession::SubmitOrder::kCost
-                               : runner::SweepSession::SubmitOrder::kExpansion;
     if (progress) {
-      // Cost-model ETA: cells flush in index order, so after cell p.index
-      // the completed work is exactly the expansion prefix [0, p.index] and
-      // prefix sums of the per-cell cost estimates give done/remaining
-      // units directly. The model self-calibrates against this run — ETA =
-      // elapsed × remaining/done units — so no absolute ms-per-unit scale
-      // is needed.
+      // Cost-model ETA: the estimate units of the cells finished in this
+      // run against those still pending. The model self-calibrates against
+      // this run — ETA = elapsed × remaining/done units — so no absolute
+      // ms-per-unit scale is needed. Cells finish in any order on more than
+      // one thread, so the sums follow the finished cells, not an index
+      // prefix.
       struct EtaState {
-        std::vector<double> prefix;  // estimate-unit prefix sums
+        std::vector<double> units;      // estimate units per cell
+        double done_units = 0.0;        // finished in this run
+        double remaining_units = -1.0;  // pending; set on the first call
         double start_s = 0.0;
-        double first_units = -1.0;  // prefix already done when run started
         std::size_t cells_this_run = 0;
       };
       auto eta = std::make_shared<EtaState>();
-      const std::vector<runner::Scenario> cells =
-          runner::expand_with_overrides(manifest);
-      eta->prefix.resize(cells.size() + 1, 0.0);
-      for (std::size_t i = 0; i < cells.size(); ++i)
-        eta->prefix[i + 1] =
-            eta->prefix[i] + runner::CostModel::estimate_units(cells[i]);
+      for (const runner::Scenario& cell :
+           runner::expand_with_overrides(manifest))
+        eta->units.push_back(runner::CostModel::estimate_units(cell));
       eta->start_s = telemetry_now_s();
       options.on_cell_done = [eta](const runner::ScenarioProgress& p) {
-        if (eta->first_units < 0.0) eta->first_units = eta->prefix[p.index];
+        if (eta->remaining_units < 0.0) {
+          // The first p.done - 1 cells were loaded from the checkpoint.
+          eta->remaining_units = 0.0;
+          for (std::size_t i = p.done - 1; i < eta->units.size(); ++i)
+            eta->remaining_units += eta->units[i];
+        }
         ++eta->cells_this_run;
+        eta->done_units += eta->units[p.index];
+        eta->remaining_units -= eta->units[p.index];
         const double elapsed = telemetry_now_s() - eta->start_s;
-        const double done_units =
-            eta->prefix[p.index + 1] - eta->first_units;
-        const double remaining_units =
-            eta->prefix.back() - eta->prefix[p.index + 1];
-        const double eta_s = done_units > 0.0 && elapsed > 0.0
-                                 ? elapsed * remaining_units / done_units
-                                 : 0.0;
+        const double eta_s =
+            eta->done_units > 0.0 && elapsed > 0.0
+                ? elapsed * std::max(eta->remaining_units, 0.0) /
+                      eta->done_units
+                : 0.0;
         const double rate =
             elapsed > 0.0
                 ? static_cast<double>(eta->cells_this_run) / elapsed

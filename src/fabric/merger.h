@@ -1,6 +1,6 @@
 // Merging shard results into the canonical single-process results file.
 //
-// Every shard record was written by runner::SweepSession::record_line with
+// Every shard record was written by runner::SweepSession::write_record with
 // the cell's *global* index, name and derived seed — exactly the bytes a
 // single-process run writes for that cell. The merger therefore never
 // re-serializes anything: it validates each shard file record-by-record

@@ -4,7 +4,7 @@
 // checkpoint JSONL stream embeds one SimResult per completed cell.
 //
 // Round-trip guarantees: spec_from_json(to_json(s)) reconstructs the exact
-// parameter values (doubles bit-for-bit via the writer's shortest-round-trip
+// parameter values (doubles bit-for-bit via the writer's round-trip
 // formatting; 64-bit seeds/counters as decimal strings), and a SimResult
 // survives the trip with every metric — including the RunningStats/SampleSet
 // internals — bit-identical, which is what lets a resumed sweep reproduce an

@@ -97,11 +97,12 @@ CellCache::Probe CellCache::probe(const Scenario& cell, std::uint64_t seed) {
     // The contract is byte-identity of the results file, so the decoded
     // result must re-serialize to exactly the stored bytes — any drift
     // (edited entry, codec change without an epoch bump) recomputes.
-    if (util::json::dump(protocol::to_json(result)) !=
-        util::json::dump(entry.at("result")))
+    std::string result_json = util::json::dump(protocol::to_json(result));
+    if (result_json != util::json::dump(entry.at("result")))
       throw util::json::Error("result does not round-trip");
     out.hit = true;
     out.result = std::move(result);
+    out.result_json = std::move(result_json);
     ++stats_.hits;
   } catch (const std::exception&) {
     ++stats_.rejected;

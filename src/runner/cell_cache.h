@@ -29,8 +29,11 @@
 // value-for-value and the stored result to decode and re-serialize to the
 // identical bytes. Anything else — torn write, truncation, tampering,
 // epoch or key mismatch, hash collision — is a recorded rejection and the
-// cell recomputes. `cost`/`wall_ms` feed the cost model's calibration
-// (cost_model.h).
+// cell recomputes. A hit returns that re-serialization with the decoded
+// result, so the session writes the cell's results line from it without
+// encoding the result again: a hit costs one parse and two encodes. The line
+// never copies the stored bytes, which may spell a number differently.
+// `cost`/`wall_ms` feed the cost model's calibration (cost_model.h).
 //
 // Concurrency. publish() writes a temp file and renames it into place;
 // concurrent writers of the same cell write entries that agree on every
@@ -69,6 +72,9 @@ class CellCache {
   struct Probe {
     bool hit = false;
     protocol::SimResult result;  // valid only when hit
+    /// dump(to_json(result)), the encoding the probe validated against the
+    /// stored bytes; a results line can use it as is. Empty on a miss.
+    std::string result_json;
   };
 
   /// A cache rooted at `dir` (created lazily on first publish). The epoch
@@ -85,8 +91,9 @@ class CellCache {
   /// <dir>/<hex[0:2]>/<hex>.jsonl for the given key object.
   std::string entry_path(const util::json::Value& key) const;
 
-  /// Looks the cell up, re-validating any stored entry. Never throws on a
-  /// bad entry — validation failures count as rejected+miss and the caller
+  /// Looks the cell up, re-validating any stored entry. A hit returns the
+  /// decoded result with its validated encoding. Never throws on a bad
+  /// entry — validation failures count as rejected+miss and the caller
   /// recomputes. Updates stats.
   Probe probe(const Scenario& cell, std::uint64_t seed);
 

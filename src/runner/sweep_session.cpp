@@ -73,14 +73,21 @@ std::uint64_t SweepSession::cell_seed(std::size_t global_index) const noexcept {
   return manifest_cell_seed(manifest_, batch_[global_index], global_index);
 }
 
-std::string SweepSession::record_line(std::size_t global_index,
-                                      const protocol::SimResult& result) const {
+void SweepSession::write_record(std::ostream& out, std::size_t global_index,
+                                std::string_view result_json) const {
   Object record;
   record.set("index", static_cast<double>(global_index))
       .set("name", batch_[global_index].name)
-      .set("seed", util::json::u64_to_string(cell_seed(global_index)))
-      .set("result", protocol::to_json(result));
-  return util::json::dump(Value(std::move(record))) + "\n";
+      .set("seed", util::json::u64_to_string(cell_seed(global_index)));
+  // The compact dump of {index, name, seed, result}: reopen the object and
+  // write the result's encoding as its last member. Streaming it instead of
+  // building the line keeps one copy of a large result in memory, not two.
+  std::string head = util::json::dump(Value(std::move(record)));
+  head.back() = ',';
+  out << head << "\"result\":" << result_json << "}\n";
+  if (!out.flush())
+    throw std::runtime_error("write to results file '" + results_path_ +
+                             "' failed");
 }
 
 void SweepSession::load_existing() {
@@ -139,19 +146,31 @@ std::size_t SweepSession::run(std::size_t limit) {
     throw std::runtime_error("cannot append to results file '" +
                              results_path_ + "'");
 
-  // Cache probe pass. Hits park their decoded (and re-validated) results in
-  // `cached` — stable storage, the vector never resizes — and skip the
-  // executor entirely; only the misses in `miss_local` run.
+  // Cache probe pass. A hit that is next in index order is checkpointed at
+  // once, from the encoding the probe validated, and its result moves into
+  // completed_ (reserved to cell_count(), so `ready` may point into it). A
+  // hit behind a miss parks its decoded result in `cached` — stable
+  // storage, the vector never resizes — until the miss lands. Checkpointing
+  // hits before any execution means a later miss that throws loses none of
+  // them. Only the misses in `miss_local` run.
   std::vector<std::optional<protocol::SimResult>> cached(todo);
+  std::vector<const protocol::SimResult*> ready(todo, nullptr);
   std::vector<std::size_t> miss_local;  // local (range-relative) indices
+  std::size_t next_flush = 0;
   if (options_.cache) {
     for (std::size_t local = 0; local < todo; ++local) {
       const std::size_t g = offset + local;
       CellCache::Probe probe = options_.cache->probe(batch_[g], cell_seed(g));
-      if (probe.hit)
-        cached[local] = std::move(probe.result);
-      else
+      if (!probe.hit) {
         miss_local.push_back(local);
+      } else if (local == next_flush) {
+        write_record(out, g, probe.result_json);
+        completed_.push_back(std::move(probe.result));
+        ready[local] = &completed_.back();
+        ++next_flush;
+      } else {
+        ready[local] = &cached[local].emplace(std::move(probe.result));
+      }
     }
   } else {
     miss_local.resize(todo);
@@ -163,21 +182,16 @@ std::size_t SweepSession::run(std::size_t limit) {
   // file never has gaps, then report the finished cell. The file bytes
   // depend only on cell indices — never on where a result came from (cache
   // or execution) or what order the executor finished in.
-  std::vector<const protocol::SimResult*> ready(todo, nullptr);
-  for (std::size_t local = 0; local < todo; ++local)
-    if (cached[local]) ready[local] = &*cached[local];
-  std::size_t next_flush = 0;
   const auto flush_ready = [&] {
     while (next_flush < todo && ready[next_flush] != nullptr) {
-      completed_.push_back(*ready[next_flush]);
-      out << record_line(offset + next_flush, *ready[next_flush]);
-      if (!out.flush())
-        throw std::runtime_error("write to results file '" + results_path_ +
-                                 "' failed");
+      const protocol::SimResult& result = *ready[next_flush];
+      write_record(out, offset + next_flush,
+                   util::json::dump(protocol::to_json(result)));
+      completed_.push_back(result);
       ++next_flush;
     }
   };
-  std::size_t finished = completed_.size();  // checkpointed or buffered
+  std::size_t finished = offset - begin_;  // checkpointed or buffered
   const auto report = [&](std::size_t local) {
     ++finished;
     if (!options_.on_cell_done) return;
@@ -190,11 +204,8 @@ std::size_t SweepSession::run(std::size_t limit) {
     options_.on_cell_done(global);
   };
 
-  // Checkpoint the cached prefix before any execution: if a later miss
-  // throws, every hit already flushed stays on disk.
-  flush_ready();
   for (std::size_t local = 0; local < todo; ++local)
-    if (cached[local]) report(local);
+    if (ready[local] != nullptr) report(local);
 
   if (!miss_local.empty()) {
     std::vector<Scenario> pending;

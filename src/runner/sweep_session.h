@@ -23,17 +23,22 @@
 //
 // A content-addressed CellCache (cell_cache.h) sits on top, output-invisible
 // by construction: before submitting the pending range, the session probes
-// every cell; hits are fed straight into the reorder buffer and only misses
-// run. Completed misses are published back. A warm rerun therefore executes
-// zero cells while producing byte-identical results files.
+// every cell and only misses run. A hit that is next in index order is
+// written as it is probed, from the encoding the probe validated, and its
+// result is moved into the completed prefix; a hit behind a miss waits in
+// the reorder buffer as a decoded result and is encoded when it is flushed.
+// Completed misses are published back. A warm rerun therefore executes zero
+// cells while producing byte-identical results files.
 #ifndef ECONCAST_RUNNER_SWEEP_SESSION_H
 #define ECONCAST_RUNNER_SWEEP_SESSION_H
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runner/cell_cache.h"
@@ -133,8 +138,10 @@ class SweepSession {
 
  private:
   void load_existing();
-  std::string record_line(std::size_t global_index,
-                          const protocol::SimResult& result) const;
+  /// Appends the cell's results line to `out` and flushes it; `result_json`
+  /// is dump(to_json(result)). Throws std::runtime_error if the write fails.
+  void write_record(std::ostream& out, std::size_t global_index,
+                    std::string_view result_json) const;
   std::uint64_t cell_seed(std::size_t global_index) const noexcept;
 
   SweepManifest manifest_;

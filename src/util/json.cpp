@@ -1,11 +1,14 @@
 #include "util/json.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <system_error>
 
 namespace econcast::util::json {
 
@@ -284,8 +287,8 @@ class Parser {
   double parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    // Validate the JSON grammar before handing to strtod (strtod accepts
-    // hex, "inf", leading '+', none of which are JSON).
+    // Validate the JSON grammar before converting (from_chars accepts
+    // "inf", "nan" and a leading zero run, none of which are JSON).
     auto digits = [&] {
       std::size_t count = 0;
       while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
@@ -309,14 +312,47 @@ class Parser {
         ++pos_;
       if (digits() == 0) fail("digits required in exponent");
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("invalid number");
-    if (errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL))
-      fail("number out of range");
+    const std::string_view token = text_.substr(start, pos_ - start);
+    double v = 0.0;
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), v);
+    if (end != token.data() + token.size()) fail("invalid number");
+    // from_chars reports overflow and underflow alike and leaves `v` as it
+    // was. Overflow is an error; underflow reads as the signed zero that
+    // strtod rounds it to.
+    if (ec == std::errc::result_out_of_range) {
+      if (!below_one(token)) fail("number out of range");
+      v = token[0] == '-' ? -0.0 : 0.0;
+    }
     return v;
+  }
+
+  /// Whether a grammar-checked number token has magnitude below 1, i.e. the
+  /// decimal exponent of its first nonzero digit is negative.
+  static bool below_one(std::string_view token) {
+    long long digits = 0;       // mantissa digits seen
+    long long point = -1;       // mantissa digits before the '.', if any
+    long long first = -1;       // index of the first nonzero digit
+    std::size_t i = token[0] == '-' ? 1 : 0;
+    for (; i < token.size() && token[i] != 'e' && token[i] != 'E'; ++i) {
+      if (token[i] == '.') {
+        point = digits;
+      } else {
+        if (first < 0 && token[i] != '0') first = digits;
+        ++digits;
+      }
+    }
+    if (first < 0) return true;  // zero
+    if (point < 0) point = digits;
+    long long exponent = 0;  // saturates: only its sign and size matter
+    bool negative = false;
+    if (i < token.size()) {
+      ++i;
+      if (token[i] == '+' || token[i] == '-') negative = token[i++] == '-';
+      for (; i < token.size(); ++i)
+        exponent = std::min(exponent * 10 + (token[i] - '0'), 1LL << 50);
+    }
+    return point - 1 - first + (negative ? -exponent : exponent) < 0;
   }
 
   std::string_view text_;
@@ -329,23 +365,54 @@ Value parse(std::string_view text) { return Parser(text).run(); }
 
 // ---------------------------------------------------------------- writer --
 
-std::string format_double(double d) {
-  if (!std::isfinite(d)) throw Error("json: NaN/Inf is not representable");
+namespace {
+
+/// Writes format_double's text for a finite `d` into `buf`; returns its end.
+char* format_finite(double d, char (&buf)[40]) {
   // Integral doubles inside the exactly-representable range print as plain
   // integers (stable, exponent-free — these are counts and axis values).
   if (d == std::floor(d) && std::fabs(d) < 9007199254740992.0) {  // 2^53
-    if (d == 0.0 && std::signbit(d)) return "-0";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    return buf;
+    if (d == 0.0 && std::signbit(d)) {
+      std::memcpy(buf, "-0", 2);
+      return buf + 2;
+    }
+    return std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d))
+        .ptr;
   }
+  // k = significant digits of the shortest round-trip form; the output is
+  // %.*g (chars_format::general with a precision) at max(15, k).
+  auto res = std::to_chars(buf, buf + sizeof(buf), d,
+                           std::chars_format::scientific);
+  int k = 0;
+  for (const char* p = buf; p != res.ptr && *p != 'e'; ++p)
+    k += *p >= '0' && *p <= '9';
+  int precision = std::max(15, k);
+  res = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                      precision);
+  // Nearest-p-digit rounding round-trips for every p >= k, except at a
+  // normal power of two: its lower neighbour is half as far as its upper
+  // one, so the nearest 16-digit decimal can fall below the rounding
+  // interval. Step up a digit there until it reads back (17 always does).
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(d));
+  if ((bits & ((std::uint64_t{1} << 52) - 1)) == 0) {
+    while (precision < 17) {
+      double back = 0.0;
+      std::from_chars(buf, res.ptr, back);
+      if (back == d) break;
+      res = std::to_chars(buf, buf + sizeof(buf), d,
+                          std::chars_format::general, ++precision);
+    }
+  }
+  return res.ptr;
+}
+
+}  // namespace
+
+std::string format_double(double d) {
+  if (!std::isfinite(d)) throw Error("json: NaN/Inf is not representable");
   char buf[40];
-  for (const int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-    const double back = std::strtod(buf, nullptr);
-    if (std::memcmp(&back, &d, sizeof(double)) == 0) return buf;
-  }
-  return buf;  // %.17g always round-trips IEEE double
+  return std::string(buf, format_finite(d, buf));
 }
 
 std::string u64_to_string(std::uint64_t v) { return std::to_string(v); }
@@ -403,7 +470,12 @@ void dump_value(const Value& v, int indent, int depth, std::string& out) {
       // JSON has no NaN/Inf; encode them as null (decoders use
       // as_number_or_nan) instead of aborting a mid-sweep checkpoint write.
       const double d = v.as_number();
-      out += std::isfinite(d) ? format_double(d) : "null";
+      if (std::isfinite(d)) {
+        char buf[40];
+        out.append(buf, format_finite(d, buf));
+      } else {
+        out += "null";
+      }
       break;
     }
     case Value::Kind::kString: dump_string(v.as_string(), out); break;

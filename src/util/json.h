@@ -2,9 +2,11 @@
 // checkpoint pipeline. Scope is deliberately small: the six JSON kinds, an
 // insertion-ordered object (so dumps are deterministic and diffs are
 // stable), a strict recursive-descent parser, and a writer whose number
-// formatting is shortest-round-trip — parse(dump(v)) reproduces every double
-// bit for bit, which is what makes resumed sweep results byte-identical to
-// uninterrupted ones.
+// formatting round-trips — parse(dump(v)) reproduces every double bit for
+// bit, which is what makes resumed sweep results byte-identical to
+// uninterrupted ones. Numbers convert with std::to_chars/std::from_chars;
+// a double prints as printf's "%.*g" at max(15, k) digits, where k is the
+// digit count of its shortest round-trip form (see format_double).
 //
 // 64-bit integers (seeds, packet counts) do not survive the double-only JSON
 // number model above 2^53, so seeds are carried as decimal strings via
@@ -114,10 +116,15 @@ Value parse(std::string_view text);
 /// checkpoint write mid-sweep; decode such fields with as_number_or_nan.
 std::string dump(const Value& value, int indent = -1);
 
-/// Shortest decimal string that strtod parses back to exactly `d` (tries
-/// %.15g, %.16g, %.17g). Integral values within 2^53 print without exponent
-/// or decimal point. Deterministic for a given double. Throws Error on
-/// NaN/Inf — only dump applies the null encoding.
+/// Decimal string that parses back to exactly `d`: "%.*g" at max(15, k)
+/// digits, k being the digit count of d's shortest round-trip form, or 17
+/// at the powers of two where 16 would not round-trip — the first of
+/// %.15g, %.16g, %.17g that reads back bit for bit. This is not the
+/// shortest form: denorm_min prints as 4.94065645841247e-324, not 5e-324,
+/// and 0.1 as 0.1 only because %.15g strips trailing zeros. Integral values
+/// within 2^53 print without exponent or decimal point. Deterministic for a
+/// given double. Throws Error on NaN/Inf — only dump applies the null
+/// encoding.
 std::string format_double(double d);
 
 /// Decimal-string codec for full-range 64-bit values (seeds).

@@ -305,6 +305,120 @@ TEST(CellCache, SabotagedEntriesAreRejectedAndRecomputed) {
   EXPECT_EQ(reference, slurp(dir / "warm.jsonl"));
 }
 
+/// `integer` respelled in scientific notation: "3500" -> "3.500e3".
+std::string scientific_spelling(const std::string& integer) {
+  if (integer.size() == 1) return integer + "e0";
+  return integer.substr(0, 1) + "." + integer.substr(1) + "e" +
+         std::to_string(integer.size() - 1);
+}
+
+/// The bytes of a results line's "result" member (its last member).
+std::string result_bytes(const std::string& line) {
+  const std::string marker = ",\"result\":";
+  const auto pos = line.find(marker);
+  if (pos == std::string::npos || line.back() != '}') return "";
+  return line.substr(pos + marker.size(),
+                     line.size() - pos - marker.size() - 1);
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(CellCache, NonCanonicalEntryIsAHitAndTheLineIsReencoded) {
+  // An entry whose result spells a number differently but equally (here
+  // "3500" as "3.500e3") still decodes and re-encodes to the canonical
+  // bytes, so it is a hit; the results line comes from that re-encoding,
+  // never from the stored bytes.
+  const fs::path dir = test_dir();
+  const runner::SweepManifest manifest = small_manifest();
+  const std::string cache_dir = (dir / "cache").string();
+
+  runner::SweepSession off(manifest, (dir / "off.jsonl").string());
+  off.run();
+  runner::SweepSession::Options options;
+  options.cache = std::make_shared<runner::CellCache>(cache_dir);
+  runner::SweepSession(manifest, (dir / "cold.jsonl").string(), options)
+      .run();
+
+  const auto cells = runner::expand_with_overrides(manifest);
+  const std::string victim = options.cache->entry_path(options.cache->cell_key(
+      cells[0], runner::manifest_cell_seed(manifest, cells[0], 0)));
+  std::string text = slurp(victim);
+  const std::string field = "\"measured_window\":";
+  const auto at = text.find(field, text.find("\"result\":"));
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t begin = at + field.size();
+  const std::size_t end = text.find(',', begin);
+  const std::string integer = text.substr(begin, end - begin);
+  ASSERT_EQ(integer.find_first_not_of("0123456789"), std::string::npos)
+      << integer;
+  text.replace(begin, integer.size(), scientific_spelling(integer));
+  spit(victim, text);
+
+  options.cache = std::make_shared<runner::CellCache>(cache_dir);
+  runner::SweepSession warm(manifest, (dir / "warm.jsonl").string(), options);
+  warm.run();
+  EXPECT_EQ(options.cache->stats().hits, 16u);
+  EXPECT_EQ(options.cache->stats().rejected, 0u);
+  EXPECT_EQ(slurp(dir / "off.jsonl"), slurp(dir / "warm.jsonl"));
+  EXPECT_NE(slurp(victim).find(scientific_spelling(integer)),
+            std::string::npos);  // the probe left the entry as it was
+}
+
+TEST(CellCache, MixedRunReportsTheResultsItWrites) {
+  // Rejected entries between hits: the hits before the first miss are
+  // written as they are probed, the rest wait behind a recomputed cell.
+  // Every cell's on_cell_done result must dump to exactly the "result"
+  // bytes of its results line, and results() must match an uncached run.
+  const fs::path dir = test_dir();
+  const runner::SweepManifest manifest = small_manifest();
+  const std::string cache_dir = (dir / "cache").string();
+
+  runner::SweepSession off(manifest, (dir / "off.jsonl").string());
+  off.run();
+  runner::SweepSession::Options options;
+  options.cache = std::make_shared<runner::CellCache>(cache_dir);
+  runner::SweepSession(manifest, (dir / "cold.jsonl").string(), options)
+      .run();
+
+  const auto cells = runner::expand_with_overrides(manifest);
+  for (const std::size_t i : {std::size_t{3}, std::size_t{4}, std::size_t{9},
+                              std::size_t{15}})
+    spit(options.cache->entry_path(options.cache->cell_key(
+             cells[i], runner::manifest_cell_seed(manifest, cells[i], i))),
+         "sabotaged\n");
+
+  options.cache = std::make_shared<runner::CellCache>(cache_dir);
+  std::vector<std::string> reported(cells.size());
+  options.on_cell_done = [&reported](const runner::ScenarioProgress& p) {
+    reported[p.index] = util::json::dump(protocol::to_json(*p.result));
+  };
+  runner::SweepSession mixed(manifest, (dir / "mixed.jsonl").string(),
+                             options);
+  mixed.run();
+  EXPECT_EQ(options.cache->stats().hits, 12u);
+  EXPECT_EQ(options.cache->stats().rejected, 4u);
+
+  const std::string written = slurp(dir / "mixed.jsonl");
+  EXPECT_EQ(written, slurp(dir / "off.jsonl"));
+  const std::vector<std::string> lines = lines_of(written);
+  ASSERT_EQ(lines.size(), cells.size());
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    EXPECT_EQ(reported[i], result_bytes(lines[i])) << "cell " << i;
+
+  const runner::BatchResult got = mixed.results();
+  const runner::BatchResult want = off.results();
+  ASSERT_EQ(got.results.size(), want.results.size());
+  for (std::size_t i = 0; i < got.results.size(); ++i)
+    EXPECT_EQ(util::json::dump(protocol::to_json(got.results[i])),
+              util::json::dump(protocol::to_json(want.results[i])))
+        << "cell " << i;
+}
+
 TEST(CellCache, ReadOnlyCacheDirectoryDegradesToRecompute) {
   // Publishing into an uncreatable directory must not fail the sweep: the
   // publish hook swallows cache I/O errors and the results file is intact.

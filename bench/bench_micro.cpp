@@ -35,14 +35,35 @@ void BM_StateSpaceEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_StateSpaceEnumeration)->Arg(5)->Arg(10)->Arg(14);
 
-void BM_ExactGibbsMarginals(benchmark::State& state) {
+// One pass over W at a fixed η (every state's log-weight and log Z), into a
+// reused evaluation, as the (P4) line search does per candidate.
+void BM_ExactGibbsEvaluate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto nodes = model::homogeneous(n, 10.0, 500.0, 500.0);
   const gibbs::ExactGibbs g(nodes, model::Mode::kGroupput, 0.25);
   const std::vector<double> eta(n, 0.003);
+  gibbs::GibbsEvaluation eval;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.marginals(eta));
+    g.evaluate(eta, eval);
+    benchmark::DoNotOptimize(eval.log_partition);
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(model::state_space_size(n)));
+}
+BENCHMARK(BM_ExactGibbsEvaluate)->Arg(5)->Arg(10)->Arg(14);
+
+// The moments read from an existing evaluation (no log-weight recomputed).
+void BM_ExactGibbsMarginals(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto nodes = model::homogeneous(n, 10.0, 500.0, 500.0);
+  const gibbs::ExactGibbs g(nodes, model::Mode::kGroupput, 0.25);
+  gibbs::GibbsEvaluation eval;
+  g.evaluate(std::vector<double>(n, 0.003), eval);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g.marginals(eval));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(model::state_space_size(n)));
 }
 BENCHMARK(BM_ExactGibbsMarginals)->Arg(5)->Arg(10)->Arg(14);
 

@@ -11,14 +11,14 @@ namespace econcast::gibbs {
 
 double average_burst_length(const model::NodeSet& nodes, model::Mode mode,
                             double sigma) {
-  const P4Result p4 = solve_p4(nodes, mode, sigma);
   BurstSums sums;
   if (model::is_homogeneous(nodes)) {
+    const P4Result p4 = solve_p4(nodes, mode, sigma);
     SymmetricGibbs gibbs(nodes.size(), nodes.front(), mode, sigma);
     sums = gibbs.burst_sums(p4.eta.front());
   } else {
-    ExactGibbs gibbs(nodes, mode, sigma);
-    sums = gibbs.burst_sums(p4.eta);
+    const ExactGibbs gibbs(nodes, mode, sigma);
+    sums = gibbs.burst_sums(solve_p4(gibbs).eta);
   }
   return std::exp(sums.log_success_mass - sums.log_burst_rate);
 }

@@ -1,5 +1,6 @@
 #include "gibbs/exact.h"
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -10,14 +11,24 @@ namespace econcast::gibbs {
 
 using model::NetState;
 
+namespace {
+constexpr std::size_t kMaxNodes = 16;  // listener masks fit State's uint32_t
+}  // namespace
+
 ExactGibbs::ExactGibbs(model::NodeSet nodes, model::Mode mode, double sigma)
     : nodes_(std::move(nodes)), mode_(mode), sigma_(sigma) {
   model::validate(nodes_);
   if (!(sigma > 0.0)) throw std::invalid_argument("sigma must be positive");
-  if (nodes_.size() > 16)
+  if (nodes_.size() > kMaxNodes)
     throw std::invalid_argument(
         "ExactGibbs supports N <= 16; use SymmetricGibbs for large "
         "homogeneous networks");
+  states_.reserve(model::state_space_size(nodes_.size()));
+  model::for_each_state(nodes_.size(), [&](const NetState& s) {
+    states_.push_back(State{static_cast<std::uint32_t>(s.listeners),
+                            s.transmitter,
+                            model::state_throughput(s, mode_)});
+  });
 }
 
 void ExactGibbs::check_eta(const std::vector<double>& eta) const {
@@ -25,107 +36,123 @@ void ExactGibbs::check_eta(const std::vector<double>& eta) const {
     throw std::invalid_argument("eta size mismatch");
 }
 
-double ExactGibbs::log_weight(const NetState& state,
-                              const std::vector<double>& eta) const {
-  double exponent = model::state_throughput(state, mode_);
-  std::uint64_t mask = state.listeners;
-  while (mask) {
-    const int i = std::countr_zero(mask);
-    exponent -= eta[static_cast<std::size_t>(i)] *
-                nodes_[static_cast<std::size_t>(i)].listen_power;
-    mask &= mask - 1;
-  }
-  if (state.has_transmitter()) {
-    const auto tx = static_cast<std::size_t>(state.transmitter);
-    exponent -= eta[tx] * nodes_[tx].transmit_power;
-  }
-  return exponent / sigma_;
+void ExactGibbs::check_evaluation(const GibbsEvaluation& eval) const {
+  if (eval.eta.size() != nodes_.size() ||
+      eval.log_weight.size() != states_.size())
+    throw std::invalid_argument("evaluation is not over this state space");
 }
 
-Marginals ExactGibbs::marginals(const std::vector<double>& eta) const {
+void ExactGibbs::evaluate(const std::vector<double>& eta,
+                          GibbsEvaluation& out) const {
   check_eta(eta);
-  const std::size_t n = nodes_.size();
-
-  // First pass: log Z. Second pass folded in by accumulating per-node and
-  // throughput expectations as weighted log-sums.
+  // η_i L_i and η_i X_i once per η: the same IEEE products a per-state
+  // loop would form, so precomputing them moves no bit.
+  std::array<double, kMaxNodes> listen_cost{}, transmit_cost{};
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    listen_cost[i] = eta[i] * nodes_[i].listen_power;
+    transmit_cost[i] = eta[i] * nodes_[i].transmit_power;
+  }
+  if (&eta != &out.eta) out.eta = eta;
+  out.log_weight.resize(states_.size());
   util::LogSumExp log_z;
-  model::for_each_state(n, [&](const NetState& s) {
-    log_z.add(log_weight(s, eta));
-  });
-  const double lz = log_z.value();
+  for (std::size_t k = 0; k < states_.size(); ++k) {
+    // (T_w - the listeners' costs in ascending node order - the
+    // transmitter's cost) / σ; that order of operations is part of every
+    // result's bytes.
+    const State& s = states_[k];
+    double exponent = s.throughput;
+    for (std::uint32_t mask = s.listeners; mask; mask &= mask - 1)
+      exponent -=
+          listen_cost[static_cast<std::size_t>(std::countr_zero(mask))];
+    if (s.transmitter >= 0)
+      exponent -= transmit_cost[static_cast<std::size_t>(s.transmitter)];
+    const double lw = exponent / sigma_;
+    out.log_weight[k] = lw;
+    log_z.add(lw);
+  }
+  out.log_partition = log_z.value();
+}
 
+GibbsEvaluation ExactGibbs::evaluated(const std::vector<double>& eta) const {
+  GibbsEvaluation eval;
+  evaluate(eta, eval);
+  return eval;
+}
+
+Marginals ExactGibbs::marginals(const GibbsEvaluation& eval) const {
+  check_evaluation(eval);
+  const double lz = eval.log_partition;
   Marginals out;
   out.log_partition = lz;
-  out.alpha.assign(n, 0.0);
-  out.beta.assign(n, 0.0);
+  out.alpha.assign(nodes_.size(), 0.0);
+  out.beta.assign(nodes_.size(), 0.0);
   double expected_t = 0.0;
   double expected_exponent = 0.0;  // E[log-weight] for the entropy
-  model::for_each_state(n, [&](const NetState& s) {
-    const double lw = log_weight(s, eta);
+  for (std::size_t k = 0; k < states_.size(); ++k) {
+    const double lw = eval.log_weight[k];
     const double p = std::exp(lw - lz);
-    if (p == 0.0) return;
-    std::uint64_t mask = s.listeners;
-    while (mask) {
-      const int i = std::countr_zero(mask);
-      out.alpha[static_cast<std::size_t>(i)] += p;
-      mask &= mask - 1;
-    }
-    if (s.has_transmitter())
+    if (p == 0.0) continue;
+    const State& s = states_[k];
+    for (std::uint32_t mask = s.listeners; mask; mask &= mask - 1)
+      out.alpha[static_cast<std::size_t>(std::countr_zero(mask))] += p;
+    if (s.transmitter >= 0)
       out.beta[static_cast<std::size_t>(s.transmitter)] += p;
-    expected_t += p * model::state_throughput(s, mode_);
+    expected_t += p * s.throughput;
     expected_exponent += p * lw;
-  });
+  }
   out.expected_throughput = expected_t;
   out.entropy = lz - expected_exponent;
   return out;
 }
 
-BurstSums ExactGibbs::burst_sums(const std::vector<double>& eta) const {
-  check_eta(eta);
-  const std::size_t n = nodes_.size();
-  util::LogSumExp log_z, mass, rate;
-  model::for_each_state(n, [&](const NetState& s) {
-    const double lw = log_weight(s, eta);
-    log_z.add(lw);
-    if (s.has_transmitter() && s.any_listener()) {
-      mass.add(lw);
-      // Groupput bursts end at rate exp(-c_w/σ), anyput at exp(-γ_w/σ).
-      const double end_rate = mode_ == model::Mode::kGroupput
-                                  ? static_cast<double>(s.listener_count())
-                                  : 1.0;
-      rate.add(lw - end_rate / sigma_);
-    }
-  });
-  const double lz = log_z.value();
+Marginals ExactGibbs::marginals(const std::vector<double>& eta) const {
+  return marginals(evaluated(eta));
+}
+
+BurstSums ExactGibbs::burst_sums(const GibbsEvaluation& eval) const {
+  check_evaluation(eval);
+  util::LogSumExp mass, rate;
+  for (std::size_t k = 0; k < states_.size(); ++k) {
+    const State& s = states_[k];
+    if (s.transmitter < 0 || s.listeners == 0) continue;  // not in W'
+    const double lw = eval.log_weight[k];
+    mass.add(lw);
+    // On W', T_w is c_w (groupput) or γ_w = 1 (anyput), and bursts end at
+    // rate exp(-T_w/σ).
+    rate.add(lw - s.throughput / sigma_);
+  }
+  const double lz = eval.log_partition;
   return BurstSums{mass.value() - lz, rate.value() - lz};
+}
+
+BurstSums ExactGibbs::burst_sums(const std::vector<double>& eta) const {
+  return burst_sums(evaluated(eta));
+}
+
+std::vector<double> ExactGibbs::distribution(
+    const GibbsEvaluation& eval) const {
+  check_evaluation(eval);
+  std::vector<double> pi(states_.size());
+  for (std::size_t k = 0; k < states_.size(); ++k)
+    pi[k] = std::exp(eval.log_weight[k] - eval.log_partition);
+  return pi;
 }
 
 std::vector<double> ExactGibbs::distribution(
     const std::vector<double>& eta) const {
-  check_eta(eta);
-  const std::size_t n = nodes_.size();
-  std::vector<double> pi(model::state_space_size(n));
-  util::LogSumExp log_z;
-  model::for_each_state(n, [&](const NetState& s) {
-    log_z.add(log_weight(s, eta));
-  });
-  const double lz = log_z.value();
-  model::for_each_state(n, [&](const NetState& s) {
-    pi[model::state_index(n, s)] = std::exp(log_weight(s, eta) - lz);
-  });
-  return pi;
+  return distribution(evaluated(eta));
+}
+
+double ExactGibbs::dual_value(const GibbsEvaluation& eval) const {
+  check_evaluation(eval);
+  double dual = sigma_ * eval.log_partition;
+  for (std::size_t i = 0; i < nodes_.size(); ++i)
+    dual += eval.eta[i] * nodes_[i].budget;
+  return dual;
 }
 
 double ExactGibbs::dual_value(const std::vector<double>& eta) const {
-  check_eta(eta);
-  util::LogSumExp log_z;
-  model::for_each_state(nodes_.size(), [&](const NetState& s) {
-    log_z.add(log_weight(s, eta));
-  });
-  double dual = sigma_ * log_z.value();
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    dual += eta[i] * nodes_[i].budget;
-  return dual;
+  return dual_value(evaluated(eta));
 }
 
 std::vector<double> ExactGibbs::dual_gradient(

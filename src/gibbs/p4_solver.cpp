@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "gibbs/exact.h"
 #include "gibbs/symmetric.h"
@@ -26,12 +27,13 @@ double kkt_residual(const model::NodeSet& nodes,
   return res;
 }
 
-P4Result finalize(const ExactGibbs& gibbs, std::vector<double> eta,
-                  std::size_t iters, bool converged) {
-  const Marginals m = gibbs.marginals(eta);
+// The result at the last iterate: `m` holds the marginals of `eval`, which
+// both loops have already computed there.
+P4Result finalize(const ExactGibbs& gibbs, GibbsEvaluation& eval,
+                  const Marginals& m, std::size_t iters, bool converged) {
   P4Result out;
-  out.dual = gibbs.dual_value(eta);
-  out.eta = std::move(eta);
+  out.dual = gibbs.dual_value(eval);
+  out.eta = std::move(eval.eta);
   out.alpha = m.alpha;
   out.beta = m.beta;
   out.throughput = m.expected_throughput;
@@ -44,27 +46,36 @@ P4Result finalize(const ExactGibbs& gibbs, std::vector<double> eta,
 P4Result solve_algorithm1(const ExactGibbs& gibbs, const P4Options& opt) {
   const std::size_t n = gibbs.num_nodes();
   const model::NodeSet& nodes = gibbs.nodes();
-  std::vector<double> eta(n, 0.0);
+  GibbsEvaluation eval;
+  eval.eta.assign(n, 0.0);
   for (std::size_t k = 1; k <= opt.max_iterations; ++k) {
-    const Marginals m = gibbs.marginals(eta);
-    if (kkt_residual(nodes, eta, m) < opt.tolerance)
-      return finalize(gibbs, std::move(eta), k, true);
+    gibbs.evaluate(eval.eta, eval);
+    const Marginals m = gibbs.marginals(eval);
+    if (kkt_residual(nodes, eval.eta, m) < opt.tolerance)
+      return finalize(gibbs, eval, m, k, true);
     const double delta = opt.delta0 / static_cast<double>(k);
     for (std::size_t i = 0; i < n; ++i) {
       const double grad = nodes[i].budget -
                           (m.alpha[i] * nodes[i].listen_power +
                            m.beta[i] * nodes[i].transmit_power);
-      eta[i] = std::max(0.0, eta[i] - delta * grad);
+      eval.eta[i] = std::max(0.0, eval.eta[i] - delta * grad);
     }
   }
-  return finalize(gibbs, std::move(eta), opt.max_iterations, false);
+  gibbs.evaluate(eval.eta, eval);
+  return finalize(gibbs, eval, gibbs.marginals(eval), opt.max_iterations,
+                  false);
 }
 
 P4Result solve_accelerated(const ExactGibbs& gibbs, const P4Options& opt) {
   const std::size_t n = gibbs.num_nodes();
   const model::NodeSet& nodes = gibbs.nodes();
-  std::vector<double> eta(n, 0.0);
-  double dual = gibbs.dual_value(eta);
+  // One evaluation per η: the line search evaluates each candidate once,
+  // and an accepted candidate's evaluation becomes the current one, whose
+  // marginals the next iteration reads. The two buffers swap, never
+  // reallocate.
+  GibbsEvaluation current, candidate;
+  gibbs.evaluate(std::vector<double>(n, 0.0), current);
+  double dual = gibbs.dual_value(current);
 
   // Initial step: the dual curvature scales like max(L,X)^2 / σ.
   double worst_power = 0.0;
@@ -73,13 +84,13 @@ P4Result solve_accelerated(const ExactGibbs& gibbs, const P4Options& opt) {
   double t = gibbs.sigma() / (worst_power * worst_power *
                               static_cast<double>(n));
 
-  std::vector<double> candidate(n);
+  candidate.eta.resize(n);
+  std::vector<double> grad(n);
   for (std::size_t k = 1; k <= opt.max_iterations; ++k) {
-    const Marginals m = gibbs.marginals(eta);
-    if (kkt_residual(nodes, eta, m) < opt.tolerance)
-      return finalize(gibbs, std::move(eta), k, true);
+    const Marginals m = gibbs.marginals(current);
+    if (kkt_residual(nodes, current.eta, m) < opt.tolerance)
+      return finalize(gibbs, current, m, k, true);
 
-    std::vector<double> grad(n);
     for (std::size_t i = 0; i < n; ++i)
       grad[i] = nodes[i].budget - (m.alpha[i] * nodes[i].listen_power +
                                    m.beta[i] * nodes[i].transmit_power);
@@ -89,15 +100,16 @@ P4Result solve_accelerated(const ExactGibbs& gibbs, const P4Options& opt) {
     for (int bt = 0; bt < 60 && !accepted; ++bt) {
       double step_sq = 0.0, step_dot_grad = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
-        candidate[i] = std::max(0.0, eta[i] - t * grad[i]);
-        const double d = candidate[i] - eta[i];
+        candidate.eta[i] = std::max(0.0, current.eta[i] - t * grad[i]);
+        const double d = candidate.eta[i] - current.eta[i];
         step_sq += d * d;
         step_dot_grad += d * grad[i];
       }
-      if (step_sq == 0.0) return finalize(gibbs, std::move(eta), k, true);
+      if (step_sq == 0.0) return finalize(gibbs, current, m, k, true);
+      gibbs.evaluate(candidate.eta, candidate);
       const double cand_dual = gibbs.dual_value(candidate);
       if (cand_dual <= dual + step_dot_grad + step_sq / (2.0 * t) + 1e-15) {
-        eta.swap(candidate);
+        std::swap(current, candidate);
         dual = cand_dual;
         t *= 1.3;  // optimistic growth for the next iteration
         accepted = true;
@@ -105,9 +117,10 @@ P4Result solve_accelerated(const ExactGibbs& gibbs, const P4Options& opt) {
         t *= 0.5;
       }
     }
-    if (!accepted) return finalize(gibbs, std::move(eta), k, false);
+    if (!accepted) return finalize(gibbs, current, m, k, false);
   }
-  return finalize(gibbs, std::move(eta), opt.max_iterations, false);
+  return finalize(gibbs, current, gibbs.marginals(current),
+                  opt.max_iterations, false);
 }
 
 P4Result solve_symmetric(const model::NodeSet& nodes, model::Mode mode,
@@ -134,17 +147,17 @@ P4Result solve_p4(const model::NodeSet& nodes, model::Mode mode, double sigma,
   model::validate(nodes);
   if (nodes.size() < 2)
     throw std::invalid_argument("P4 needs at least two nodes");
-  switch (options.method) {
-    case P4Method::kAutomatic:
-      if (model::is_homogeneous(nodes))
-        return solve_symmetric(nodes, mode, sigma, options);
-      return solve_accelerated(ExactGibbs(nodes, mode, sigma), options);
-    case P4Method::kAlgorithm1:
-      return solve_algorithm1(ExactGibbs(nodes, mode, sigma), options);
-    case P4Method::kAccelerated:
-      return solve_accelerated(ExactGibbs(nodes, mode, sigma), options);
-  }
-  throw std::logic_error("unreachable");
+  if (options.method == P4Method::kAutomatic && model::is_homogeneous(nodes))
+    return solve_symmetric(nodes, mode, sigma, options);
+  return solve_p4(ExactGibbs(nodes, mode, sigma), options);
+}
+
+P4Result solve_p4(const ExactGibbs& gibbs, const P4Options& options) {
+  if (gibbs.num_nodes() < 2)
+    throw std::invalid_argument("P4 needs at least two nodes");
+  if (options.method == P4Method::kAlgorithm1)
+    return solve_algorithm1(gibbs, options);
+  return solve_accelerated(gibbs, options);
 }
 
 }  // namespace econcast::gibbs

@@ -49,6 +49,13 @@ struct P4Result {
 P4Result solve_p4(const model::NodeSet& nodes, model::Mode mode, double sigma,
                   const P4Options& options = {});
 
+class ExactGibbs;
+
+/// (P4) on an exact instance the caller built: kAlgorithm1, or the
+/// accelerated method for the other two. The instance may be shared by
+/// concurrent solves.
+P4Result solve_p4(const ExactGibbs& gibbs, const P4Options& options = {});
+
 }  // namespace econcast::gibbs
 
 #endif  // ECONCAST_GIBBS_P4_SOLVER_H

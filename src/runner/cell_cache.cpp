@@ -43,6 +43,33 @@ bool read_entry_line(const std::string& path, std::string& line) {
   return true;
 }
 
+/// Calls fn(entry, size) for every regular *.jsonl file under `dir`. Each
+/// entry gets its own error code, so one whose status or size cannot be
+/// read (a symlink loop, an entry another gc removed mid-walk) is counted
+/// in `unreadable` and skipped instead of ending the walk.
+template <class Fn>
+void for_each_entry_file(const std::string& dir, std::size_t& unreadable,
+                         Fn&& fn) {
+  std::error_code walk_ec;
+  for (fs::recursive_directory_iterator it(dir, walk_ec), end;
+       !walk_ec && it != end; it.increment(walk_ec)) {
+    if (it->path().extension() != ".jsonl") continue;
+    std::error_code ec;
+    const bool regular = it->is_regular_file(ec);
+    if (ec) {
+      ++unreadable;
+      continue;
+    }
+    if (!regular) continue;
+    const std::uintmax_t size = it->file_size(ec);
+    if (ec) {
+      ++unreadable;
+      continue;
+    }
+    fn(*it, size);
+  }
+}
+
 }  // namespace
 
 CellCache::CellCache(std::string dir, std::string epoch)
@@ -164,25 +191,26 @@ void CellCache::publish(const Scenario& cell, std::uint64_t seed,
 
 CellCache::DirStats CellCache::scan(const std::string& dir) {
   DirStats out;
-  std::error_code ec;
-  for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    if (!it->is_regular_file() || it->path().extension() != ".jsonl")
-      continue;
-    ++out.entries;
-    out.bytes += it->file_size(ec);
-    std::string line;
-    if (!read_entry_line(it->path().string(), line)) continue;
-    try {
-      const Value entry = util::json::parse(line);
-      const std::string& name =
-          entry.at("cost").at("protocol").as_string();
-      ++out.entries_by_protocol[name];
-      out.total_wall_ms += entry.at("wall_ms").as_number();
-    } catch (const std::exception&) {
-      // Unparsable entries still occupy space; counted above.
-    }
-  }
+  for_each_entry_file(
+      dir, out.unreadable,
+      [&](const fs::directory_entry& file, std::uintmax_t size) {
+        ++out.entries;
+        out.bytes += size;
+        std::string line;
+        if (!read_entry_line(file.path().string(), line)) return;
+        try {
+          const Value entry = util::json::parse(line);
+          const std::string& name =
+              entry.at("cost").at("protocol").as_string();
+          const double wall_ms = entry.at("wall_ms").as_number();
+          ProtocolStats& protocol = out.by_protocol[name];
+          ++protocol.entries;
+          protocol.wall_ms += wall_ms;
+          out.total_wall_ms += wall_ms;
+        } catch (const std::exception&) {
+          // Unparsable entries still occupy space; counted above.
+        }
+      });
   return out;
 }
 
@@ -195,17 +223,20 @@ CellCache::GcReport CellCache::gc(const std::string& dir,
     std::uintmax_t size = 0;
   };
   std::vector<EntryFile> files;
-  std::error_code ec;
-  for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    if (!it->is_regular_file() || it->path().extension() != ".jsonl")
-      continue;
-    EntryFile f;
-    f.path = it->path().string();
-    f.mtime = it->last_write_time(ec);
-    f.size = it->file_size(ec);
-    files.push_back(std::move(f));
-  }
+  for_each_entry_file(
+      dir, report.unreadable,
+      [&](const fs::directory_entry& file, std::uintmax_t size) {
+        std::error_code ec;
+        EntryFile f;
+        f.mtime = file.last_write_time(ec);
+        if (ec) {
+          ++report.unreadable;
+          return;
+        }
+        f.path = file.path().string();
+        f.size = size;
+        files.push_back(std::move(f));
+      });
   report.entries_before = files.size();
   for (const EntryFile& f : files) report.bytes_before += f.size;
   report.bytes_after = report.bytes_before;
@@ -220,6 +251,7 @@ CellCache::GcReport CellCache::gc(const std::string& dir,
             });
   for (const EntryFile& f : files) {
     if (report.bytes_after <= max_bytes) break;
+    std::error_code ec;
     if (fs::remove(f.path, ec) && !ec) {
       report.bytes_after -= f.size;
       ++report.entries_removed;

@@ -109,11 +109,19 @@ class CellCache {
 
   // ------------------------------------------------ directory utilities --
 
+  struct ProtocolStats {
+    std::size_t entries = 0;
+    double wall_ms = 0.0;  // recorded compute of those entries
+  };
+
   struct DirStats {
     std::size_t entries = 0;
     std::uintmax_t bytes = 0;
     double total_wall_ms = 0.0;          // observed compute time saved/entry
-    std::map<std::string, std::size_t> entries_by_protocol;
+    std::map<std::string, ProtocolStats> by_protocol;
+    /// *.jsonl paths whose status or size could not be read (a symlink
+    /// loop, an entry removed mid-walk); skipped, not counted above.
+    std::size_t unreadable = 0;
   };
 
   /// Scans a cache directory (entry counts, bytes, per-protocol breakdown).
@@ -125,6 +133,7 @@ class CellCache {
     std::size_t entries_removed = 0;
     std::uintmax_t bytes_before = 0;
     std::uintmax_t bytes_after = 0;
+    std::size_t unreadable = 0;  // skipped, as in DirStats
   };
 
   /// Deletes oldest-first (by file modification time, ties by path) until

@@ -4,6 +4,7 @@
 #ifndef ECONCAST_UTIL_LOGSUMEXP_H
 #define ECONCAST_UTIL_LOGSUMEXP_H
 
+#include <cmath>
 #include <limits>
 #include <span>
 
@@ -16,7 +17,20 @@ inline constexpr double kLogZero = -std::numeric_limits<double>::infinity();
 /// value() returns log(sum_i exp(l_i)) without overflow.
 class LogSumExp {
  public:
-  void add(double log_value) noexcept;
+  void add(double log_value) noexcept {
+    if (log_value == kLogZero) return;
+    if (log_value <= max_) {
+      sum_ += std::exp(log_value - max_);
+      return;
+    }
+    // New maximum: rescale the running sum.
+    if (max_ == kLogZero) {
+      sum_ = 1.0;
+    } else {
+      sum_ = sum_ * std::exp(max_ - log_value) + 1.0;
+    }
+    max_ = log_value;
+  }
 
   /// log of the accumulated sum; kLogZero if nothing was added.
   double value() const noexcept;

@@ -200,9 +200,15 @@ TEST(CellCache, ScanAndGcAccountForEntries) {
   EXPECT_GT(stats.bytes, 0u);
   EXPECT_DOUBLE_EQ(stats.total_wall_ms, 10.0);
   std::size_t by_protocol = 0;
-  for (const auto& [name, count] : stats.entries_by_protocol)
-    by_protocol += count;
+  double wall_ms_by_protocol = 0.0;
+  for (const auto& [name, protocol] : stats.by_protocol) {
+    by_protocol += protocol.entries;
+    wall_ms_by_protocol += protocol.wall_ms;
+    EXPECT_DOUBLE_EQ(protocol.wall_ms, 2.5 * protocol.entries) << name;
+  }
   EXPECT_EQ(by_protocol, 4u);
+  EXPECT_DOUBLE_EQ(wall_ms_by_protocol, 10.0);
+  EXPECT_EQ(stats.unreadable, 0u);
 
   // GC to zero removes everything; an empty dir scans/gcs cleanly.
   const auto report = runner::CellCache::gc(cache_dir, 0);
@@ -212,6 +218,38 @@ TEST(CellCache, ScanAndGcAccountForEntries) {
   EXPECT_EQ(runner::CellCache::scan(cache_dir).entries, 0u);
   EXPECT_EQ(runner::CellCache::gc((dir / "nope").string(), 0).entries_before,
             0u);
+}
+
+TEST(CellCache, ScanAndGcSkipEntriesWhoseStatusCannotBeRead) {
+  // A self-referential symlink named like an entry: stat() fails with
+  // ELOOP. scan and gc must skip and count it, not throw or stop the walk.
+  const fs::path dir = test_dir();
+  const fs::path cache_dir = dir / "cache";
+  const auto cells = runner::expand_with_overrides(small_manifest());
+  runner::CellCache cache(cache_dir.string());
+  const protocol::SimResult result;
+  for (std::size_t i = 0; i < 3; ++i)
+    cache.publish(cells[i], 200 + i, result, 4.0);
+  fs::create_directories(cache_dir / "ab");
+  const fs::path loop = cache_dir / "ab" / "loop.jsonl";
+  fs::create_symlink("loop.jsonl", loop);
+
+  const auto stats = runner::CellCache::scan(cache_dir.string());
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.unreadable, 1u);
+  EXPECT_DOUBLE_EQ(stats.total_wall_ms, 12.0);
+
+  const auto report = runner::CellCache::gc(cache_dir.string(), 0);
+  EXPECT_EQ(report.entries_before, 3u);
+  EXPECT_EQ(report.entries_removed, 3u);
+  EXPECT_EQ(report.bytes_after, 0u);
+  EXPECT_EQ(report.unreadable, 1u);
+  EXPECT_TRUE(fs::is_symlink(fs::symlink_status(loop)));  // not an entry
+
+  const auto after = runner::CellCache::scan(cache_dir.string());
+  EXPECT_EQ(after.entries, 0u);
+  EXPECT_EQ(after.bytes, 0u);
+  EXPECT_EQ(after.unreadable, 1u);
 }
 
 // ------------------------------------------------- sweep-session plumbing --

@@ -110,8 +110,8 @@ double telemetry_now_s() {
       "  --merge         validate + concatenate all shard files into the\n"
       "                  canonical results file\n"
       "  --shards K      shard count for --merge when no plan.json exists\n"
-      "  cache-stats     print entry count, bytes and per-protocol\n"
-      "                  breakdown of a cache directory\n"
+      "  cache-stats     print entry count, bytes, and entries and\n"
+      "                  recorded compute per protocol of a cache directory\n"
       "  cache-gc        delete oldest entries until the cache directory\n"
       "                  is within --max-bytes\n"
       "\n"
@@ -220,10 +220,13 @@ int cache_stats_main(int argc, char** argv) {
       econcast::runner::CellCache::scan(dir);
   std::printf("cache %s: %zu entries, %llu bytes\n", dir.c_str(),
               stats.entries, static_cast<unsigned long long>(stats.bytes));
-  for (const auto& [name, count] : stats.entries_by_protocol)
-    std::printf("  %-14s %zu entries\n", name.c_str(), count);
+  for (const auto& [name, protocol] : stats.by_protocol)
+    std::printf("  %-14s %zu entries, %.3f s recorded compute\n",
+                name.c_str(), protocol.entries, protocol.wall_ms / 1000.0);
   std::printf("recorded compute: %.3f s of cell wall clock\n",
               stats.total_wall_ms / 1000.0);
+  if (stats.unreadable > 0)
+    std::printf("skipped %zu unreadable entries\n", stats.unreadable);
   return kExitOk;
 }
 
@@ -248,6 +251,8 @@ int cache_gc_main(int argc, char** argv) {
               dir.c_str(), report.entries_removed, report.entries_before,
               static_cast<unsigned long long>(report.bytes_before),
               static_cast<unsigned long long>(report.bytes_after));
+  if (report.unreadable > 0)
+    std::printf("skipped %zu unreadable entries\n", report.unreadable);
   return kExitOk;
 }
 

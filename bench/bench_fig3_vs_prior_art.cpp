@@ -3,7 +3,7 @@
 // ρ = 10 µW, N = 5), overlaid with the prior-art baselines on the groupput
 // panel: Panda, Birthday, and the Searchlight upper bound.
 //
-// The whole figure is two declarative sweeps over the protocol registry —
+// The whole figure is two declarative sweeps over the protocols —
 // each cell (power point × protocol × σ) is one scenario. The sweeps are
 // emitted as JSON manifests (fig3a/fig3b) and executed through
 // runner::SweepSession, so the figure is re-runnable (and resumable) as data

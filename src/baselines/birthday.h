@@ -39,8 +39,8 @@ BirthdayDesign optimize_birthday(std::size_t n, double budget,
                                  double listen_power, double transmit_power,
                                  model::Mode mode);
 
-/// Full accounting of one slotted Birthday run — the payload the
-/// protocol::Protocol adapter maps onto the unified SimResult. Both
+/// Full accounting of one slotted Birthday run — the payload protocol::run
+/// maps onto the unified SimResult. Both
 /// throughput modes are tallied from the same slot draws.
 struct BirthdaySimDetail {
   std::uint64_t slots = 0;

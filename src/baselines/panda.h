@@ -41,8 +41,8 @@ double panda_power(std::size_t n, double wake_rate, double listen_window,
 PandaDesign optimize_panda(std::size_t n, double budget, double listen_power,
                            double transmit_power);
 
-/// Full per-node accounting of one event-driven Panda run — the payload the
-/// protocol::Protocol adapter maps onto the unified SimResult.
+/// Full per-node accounting of one event-driven Panda run — the payload
+/// protocol::run maps onto the unified SimResult.
 struct PandaSimDetail {
   double duration = 0.0;
   std::uint64_t packets = 0;      // transmissions

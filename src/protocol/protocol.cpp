@@ -1,9 +1,45 @@
 #include "protocol/protocol.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 namespace econcast::protocol {
+
+namespace {
+
+/// Protocol names, indexed by ProtocolParams::index(): the one place a name
+/// is tied to its parameter type. Manifests and cache keys spell protocols
+/// with these, so a rename changes every key.
+constexpr std::string_view kNames[] = {
+    "econcast",  "econcast-p4",       "oracle",           "panda",
+    "birthday",  "searchlight-bound", "econcast-testbed",
+};
+static_assert(std::size(kNames) == std::variant_size_v<ProtocolParams>);
+
+/// kNames' index of `name`, or std::size(kNames) when no protocol has it.
+std::size_t name_index(std::string_view name) {
+  return static_cast<std::size_t>(
+      std::find(std::begin(kNames), std::end(kNames), name) -
+      std::begin(kNames));
+}
+
+/// Default-constructed alternative `index` of ProtocolParams.
+template <std::size_t... I>
+ProtocolParams default_params(std::size_t index, std::index_sequence<I...>) {
+  const ProtocolParams defaults[] = {ProtocolParams(std::in_place_index<I>)...};
+  return defaults[index];
+}
+
+ProtocolSpec spec_of(ProtocolParams params) {
+  ProtocolSpec spec;
+  spec.name = protocol_name(params);
+  spec.params = std::move(params);
+  return spec;
+}
+
+}  // namespace
 
 double SimResult::extra(const std::string& key, double fallback) const {
   const auto it = extras.find(key);
@@ -17,36 +53,29 @@ std::uint64_t effective_seed(const ProtocolSpec& spec) noexcept {
 }
 
 ProtocolSpec econcast_spec(proto::SimConfig config) {
-  ProtocolSpec spec;
-  spec.name = "econcast";
-  spec.seed = config.seed;
-  spec.params = EconCastParams{std::move(config)};
+  const std::uint64_t seed = config.seed;
+  ProtocolSpec spec = spec_of(EconCastParams{std::move(config)});
+  spec.seed = seed;
   return spec;
 }
 
 ProtocolSpec p4_spec(model::Mode mode, double sigma) {
-  return ProtocolSpec{"econcast-p4", P4Params{mode, sigma}, 1};
+  return spec_of(P4Params{mode, sigma});
 }
 
 ProtocolSpec oracle_spec(model::Mode mode) {
-  return ProtocolSpec{"oracle", OracleParams{mode}, 1};
+  return spec_of(OracleParams{mode});
 }
 
-ProtocolSpec panda_spec(PandaParams params) {
-  return ProtocolSpec{"panda", std::move(params), 1};
-}
+ProtocolSpec panda_spec(PandaParams params) { return spec_of(params); }
 
-ProtocolSpec birthday_spec(BirthdayParams params) {
-  return ProtocolSpec{"birthday", std::move(params), 1};
-}
+ProtocolSpec birthday_spec(BirthdayParams params) { return spec_of(params); }
 
 ProtocolSpec searchlight_spec(SearchlightParams params) {
-  return ProtocolSpec{"searchlight-bound", std::move(params), 1};
+  return spec_of(params);
 }
 
-ProtocolSpec testbed_spec(TestbedParams params) {
-  return ProtocolSpec{"econcast-testbed", std::move(params), 1};
-}
+ProtocolSpec testbed_spec(TestbedParams params) { return spec_of(params); }
 
 ProtocolSpec specialized(ProtocolSpec spec, model::Mode mode, double sigma) {
   struct Visitor {
@@ -70,46 +99,25 @@ ProtocolSpec specialized(ProtocolSpec spec, model::Mode mode, double sigma) {
   return spec;
 }
 
-ProtocolRegistry& ProtocolRegistry::global() {
-  static ProtocolRegistry* const registry = [] {
-    auto* r = new ProtocolRegistry();
-    register_builtin_protocols(*r);
-    return r;
-  }();
-  return *registry;
+std::string_view protocol_name(const ProtocolParams& params) noexcept {
+  return kNames[params.index()];
 }
 
-void ProtocolRegistry::add(std::string name, Factory factory) {
-  if (name.empty())
-    throw std::invalid_argument("protocol registry: empty name");
-  if (!factory)
-    throw std::invalid_argument("protocol registry: null factory for '" +
-                                name + "'");
-  const auto [it, inserted] =
-      factories_.emplace(std::move(name), std::move(factory));
-  if (!inserted)
-    throw std::invalid_argument("protocol registry: '" + it->first +
-                                "' already registered");
+std::optional<ProtocolParams> params_for(std::string_view name) {
+  const std::size_t index = name_index(name);
+  if (index == std::size(kNames)) return std::nullopt;
+  return default_params(index,
+                        std::make_index_sequence<std::size(kNames)>{});
 }
 
-bool ProtocolRegistry::contains(const std::string& name) const {
-  return factories_.count(name) > 0;
-}
-
-std::vector<std::string> ProtocolRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;  // std::map iterates in sorted key order
-}
-
-std::shared_ptr<const Protocol> ProtocolRegistry::create(
-    const ProtocolSpec& spec) const {
-  const auto it = factories_.find(spec.name);
-  if (it == factories_.end())
-    throw std::invalid_argument("protocol registry: unknown protocol '" +
-                                spec.name + "'");
-  return it->second(spec.params);
+void check(const ProtocolSpec& spec) {
+  const std::string_view expected = protocol_name(spec.params);
+  if (spec.name == expected) return;
+  if (name_index(spec.name) == std::size(kNames))
+    throw std::invalid_argument("unknown protocol '" + spec.name + "'");
+  throw std::invalid_argument("protocol '" + spec.name +
+                              "': ProtocolSpec carries the parameters of '" +
+                              std::string(expected) + "'");
 }
 
 }  // namespace econcast::protocol

@@ -1,25 +1,25 @@
-// Protocol-agnostic simulation API. The paper's evaluation is comparative —
-// every figure overlays EconCast against Panda, Birthday and Searchlight
-// under identical (N, ρ, L, X) settings — so the protocols must be
-// interchangeable units of work: a `Protocol` builds a runnable `Sim` from
-// (nodes, topology, seed), every `Sim` produces the same `SimResult` shape,
-// and a string-keyed `ProtocolRegistry` lets scenario descriptions refer to
-// protocols by name ("econcast", "panda", "birthday", "searchlight-bound",
-// ...). runner::ScenarioRunner executes any mix of them in one batch under
-// one determinism contract.
+// The protocols the paper compares, as one closed set. Every figure
+// overlays EconCast against Panda, Birthday and Searchlight under identical
+// (N, ρ, L, X) settings, so each protocol is one alternative of
+// `ProtocolParams`, and `run` executes any of them on (nodes, topology,
+// seed) and reports the same `SimResult` shape. A `ProtocolSpec` pairs the
+// parameters with the name manifests, cache keys and diagnostics spell the
+// protocol with; one table in protocol.cpp ties each name to its
+// alternative (protocol_name, params_for). runner::ScenarioRunner executes
+// any mix of them in one batch under one determinism contract.
 //
 // Analytic baselines (the Panda/Birthday closed-form optima, the Searchlight
-// bound, the P4 achievable throughput, the oracle) fit the same interface:
-// their `Sim` ignores the seed and returns the deterministic model values,
-// which is exactly how the paper's Fig. 3 / Table III columns are defined.
+// bound, the P4 achievable throughput, the oracle) run the same way: they
+// ignore the seed and return the deterministic model values, which is
+// exactly how the paper's Fig. 3 / Table III columns are defined.
 #ifndef ECONCAST_PROTOCOL_PROTOCOL_H
 #define ECONCAST_PROTOCOL_PROTOCOL_H
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -57,57 +57,30 @@ struct SimResult {
   double extra(const std::string& key, double fallback = 0.0) const;
 };
 
-/// A runnable simulation instance bound to one (nodes, topology, seed).
-class Sim {
- public:
-  virtual ~Sim() = default;
-
-  /// Runs to completion and collects results. Call once.
-  virtual SimResult run() = 0;
-};
-
-/// A protocol: a factory of Sims. Implementations carry their own tuned
-/// parameters (σ, wake rate, slot probabilities, ...); the network and the
-/// seed arrive per run so one Protocol instance can serve a whole sweep.
-class Protocol {
- public:
-  virtual ~Protocol() = default;
-
-  /// The registry key this protocol answers to (diagnostics only).
-  virtual std::string name() const = 0;
-
-  /// Builds a runnable sim. Throws std::invalid_argument when the protocol
-  /// cannot operate on the given network (e.g. Panda requires a homogeneous
-  /// clique). Analytic protocols ignore `seed`.
-  virtual std::unique_ptr<Sim> make_sim(const model::NodeSet& nodes,
-                                        const model::Topology& topology,
-                                        std::uint64_t seed) const = 0;
-};
-
 // ---------------------------------------------------------------------------
-// Typed per-protocol parameters. A ProtocolSpec pairs a registry name with
-// one of these; the registry factory checks it received the matching type.
+// Typed per-protocol parameters. A ProtocolSpec pairs one of these with the
+// name of its protocol; check() rejects any other name.
 // ---------------------------------------------------------------------------
 
-/// "econcast": the §V discrete-event simulation (config.seed is overridden
+/// EconCast: the §V discrete-event simulation (config.seed is overridden
 /// by the per-run seed).
 struct EconCastParams {
   proto::SimConfig config;
 };
 
-/// "econcast-p4": the analytic achievable throughput T^σ via the (P4)
-/// solver — the curve the paper normalizes everything against.
+/// EconCast's analytic achievable throughput T^σ via the (P4) solver — the
+/// curve the paper normalizes everything against.
 struct P4Params {
   model::Mode mode = model::Mode::kGroupput;
   double sigma = 0.5;
 };
 
-/// "oracle": the centralized upper bound T* ((P2)/(P3) LPs).
+/// The oracle: the centralized upper bound T* ((P2)/(P3) LPs).
 struct OracleParams {
   model::Mode mode = model::Mode::kGroupput;
 };
 
-/// "panda": Margolies et al. neighbor discovery. With `optimize` the
+/// Panda: Margolies et al. neighbor discovery. With `optimize` the
 /// (λ, w) design is derived from the node budget/powers (the paper's
 /// comparison point); otherwise `wake_rate`/`listen_window` are used as
 /// given. With `simulate` the event-driven simulator runs for `duration`
@@ -120,7 +93,7 @@ struct PandaParams {
   double duration = 1e6;
 };
 
-/// "birthday": McGlynn & Borbash slotted discovery. Same optimize/simulate
+/// Birthday: McGlynn & Borbash slotted discovery. Same optimize/simulate
 /// split as Panda; `slots` is the simulated horizon (1 slot = 1 packet-time).
 struct BirthdayParams {
   model::Mode mode = model::Mode::kGroupput;
@@ -131,7 +104,7 @@ struct BirthdayParams {
   std::uint64_t slots = 1000000;
 };
 
-/// "searchlight-bound": the paper's Searchlight groupput upper bound
+/// The Searchlight bound: the paper's Searchlight groupput upper bound
 /// ((N-1) × pairwise throughput) plus the latency analysis. Budget and
 /// listen power come from the (homogeneous) node set; slot and beacon
 /// lengths are protocol constants.
@@ -140,7 +113,7 @@ struct SearchlightParams {
   double beacon_seconds = 0.001;
 };
 
-/// "econcast-testbed": the eZ430 firmware emulation of §VIII (mW units,
+/// The EconCast testbed: the eZ430 firmware emulation of §VIII (mW units,
 /// real milliseconds; groupput is converted back to the theory's units).
 struct TestbedParams {
   double sigma = 0.25;
@@ -153,7 +126,7 @@ using ProtocolParams =
     std::variant<EconCastParams, P4Params, OracleParams, PandaParams,
                  BirthdayParams, SearchlightParams, TestbedParams>;
 
-/// A serialization-ready protocol reference: registry name + typed
+/// A serialization-ready protocol reference: protocol name + typed
 /// parameters. This is what runner::Scenario carries, so one batch can mix
 /// protocols freely.
 struct ProtocolSpec {
@@ -190,41 +163,26 @@ ProtocolSpec testbed_spec(TestbedParams params = {});
 ProtocolSpec specialized(ProtocolSpec spec, model::Mode mode, double sigma);
 
 // ---------------------------------------------------------------------------
-// Registry
+// Names and execution
 // ---------------------------------------------------------------------------
 
-/// String-keyed protocol factory table. `global()` is pre-populated with the
-/// built-ins; register custom protocols there before constructing batches.
-/// Lookups (`create`, `contains`, `names`) are const and safe to call from
-/// runner worker threads; `add` is not thread-safe and belongs in startup
-/// code.
-class ProtocolRegistry {
- public:
-  using Factory =
-      std::function<std::shared_ptr<const Protocol>(const ProtocolParams&)>;
+/// The name of the protocol `params` belongs to.
+std::string_view protocol_name(const ProtocolParams& params) noexcept;
 
-  /// The process-wide registry with the built-ins pre-registered.
-  static ProtocolRegistry& global();
+/// Default parameters of the protocol called `name`, or std::nullopt when
+/// no protocol has that name.
+std::optional<ProtocolParams> params_for(std::string_view name);
 
-  /// Registers a factory under `name`. Throws std::invalid_argument when the
-  /// name is empty or already taken.
-  void add(std::string name, Factory factory);
+/// Throws std::invalid_argument unless spec.name names the protocol
+/// spec.params belongs to (an unknown name, or another protocol's name).
+void check(const ProtocolSpec& spec);
 
-  bool contains(const std::string& name) const;
-  std::vector<std::string> names() const;  // sorted
-
-  /// Instantiates the protocol a spec refers to. Throws
-  /// std::invalid_argument for an unknown name and std::invalid_argument
-  /// when spec.params holds the wrong alternative for the protocol.
-  std::shared_ptr<const Protocol> create(const ProtocolSpec& spec) const;
-
- private:
-  std::map<std::string, Factory> factories_;
-};
-
-/// Registers the built-in protocols into `registry` (called automatically
-/// for `ProtocolRegistry::global()`; exposed for custom registries).
-void register_builtin_protocols(ProtocolRegistry& registry);
+/// Runs the protocol of `spec` on one network to completion. Throws
+/// std::invalid_argument when check(spec) does or when the protocol cannot
+/// operate on the network (e.g. Panda requires a homogeneous clique).
+/// Analytic protocols ignore `seed`.
+SimResult run(const ProtocolSpec& spec, const model::NodeSet& nodes,
+              const model::Topology& topology, std::uint64_t seed);
 
 }  // namespace econcast::protocol
 

@@ -1,6 +1,8 @@
 #include "protocol/protocol_json.h"
 
 #include <cmath>
+#include <optional>
+#include <string>
 #include <utility>
 
 namespace econcast::protocol {
@@ -218,53 +220,46 @@ Value params_to_json(const ProtocolParams& params) {
   return std::visit(Visitor{}, params);
 }
 
-ProtocolParams params_from_json(const std::string& name, const Object& o) {
-  if (name == "econcast") return econcast_from_json(o);
-  if (name == "econcast-p4") {
-    P4Params p;
-    p.mode = mode_from_token(str(o, "mode", mode_to_token(p.mode)));
-    p.sigma = num(o, "sigma", p.sigma);
-    return p;
-  }
-  if (name == "oracle") {
-    OracleParams p;
-    p.mode = mode_from_token(str(o, "mode", mode_to_token(p.mode)));
-    return p;
-  }
-  if (name == "panda") {
-    PandaParams p;
-    p.optimize = flag(o, "optimize", p.optimize);
-    p.wake_rate = num(o, "wake_rate", p.wake_rate);
-    p.listen_window = num(o, "listen_window", p.listen_window);
-    p.simulate = flag(o, "simulate", p.simulate);
-    p.duration = num(o, "duration", p.duration);
-    return p;
-  }
-  if (name == "birthday") {
-    BirthdayParams p;
-    p.mode = mode_from_token(str(o, "mode", mode_to_token(p.mode)));
-    p.optimize = flag(o, "optimize", p.optimize);
-    p.p_transmit = num(o, "p_transmit", p.p_transmit);
-    p.p_listen = num(o, "p_listen", p.p_listen);
-    p.simulate = flag(o, "simulate", p.simulate);
-    p.slots = u64(o, "slots", p.slots);
-    return p;
-  }
-  if (name == "searchlight-bound") {
-    SearchlightParams p;
-    p.slot_seconds = num(o, "slot_seconds", p.slot_seconds);
-    p.beacon_seconds = num(o, "beacon_seconds", p.beacon_seconds);
-    return p;
-  }
-  if (name == "econcast-testbed") {
-    TestbedParams p;
-    p.sigma = num(o, "sigma", p.sigma);
-    p.duration_ms = num(o, "duration_ms", p.duration_ms);
-    p.warmup_ms = num(o, "warmup_ms", p.warmup_ms);
-    p.observer = flag(o, "observer", p.observer);
-    return p;
-  }
-  throw Error("protocol '" + name + "' has no JSON parameter codec");
+/// Decodes `o` into `params`, which holds its protocol's defaults: absent
+/// keys keep them.
+void params_from_json(const Object& o, ProtocolParams& params) {
+  struct Visitor {
+    const Object& o;
+    void operator()(EconCastParams& p) const { p = econcast_from_json(o); }
+    void operator()(P4Params& p) const {
+      p.mode = mode_from_token(str(o, "mode", mode_to_token(p.mode)));
+      p.sigma = num(o, "sigma", p.sigma);
+    }
+    void operator()(OracleParams& p) const {
+      p.mode = mode_from_token(str(o, "mode", mode_to_token(p.mode)));
+    }
+    void operator()(PandaParams& p) const {
+      p.optimize = flag(o, "optimize", p.optimize);
+      p.wake_rate = num(o, "wake_rate", p.wake_rate);
+      p.listen_window = num(o, "listen_window", p.listen_window);
+      p.simulate = flag(o, "simulate", p.simulate);
+      p.duration = num(o, "duration", p.duration);
+    }
+    void operator()(BirthdayParams& p) const {
+      p.mode = mode_from_token(str(o, "mode", mode_to_token(p.mode)));
+      p.optimize = flag(o, "optimize", p.optimize);
+      p.p_transmit = num(o, "p_transmit", p.p_transmit);
+      p.p_listen = num(o, "p_listen", p.p_listen);
+      p.simulate = flag(o, "simulate", p.simulate);
+      p.slots = u64(o, "slots", p.slots);
+    }
+    void operator()(SearchlightParams& p) const {
+      p.slot_seconds = num(o, "slot_seconds", p.slot_seconds);
+      p.beacon_seconds = num(o, "beacon_seconds", p.beacon_seconds);
+    }
+    void operator()(TestbedParams& p) const {
+      p.sigma = num(o, "sigma", p.sigma);
+      p.duration_ms = num(o, "duration_ms", p.duration_ms);
+      p.warmup_ms = num(o, "warmup_ms", p.warmup_ms);
+      p.observer = flag(o, "observer", p.observer);
+    }
+  };
+  std::visit(Visitor{o}, params);
 }
 
 /// Rejects non-finite numbers anywhere in an encoded parameter tree. Specs
@@ -289,23 +284,6 @@ void require_finite_params(const Value& v, const std::string& name) {
   }
 }
 
-/// The serializable protocol names, paired with the variant alternative
-/// each one expects — used to reject name/params mismatches on write.
-bool params_match_name(const std::string& name, const ProtocolParams& params) {
-  if (name == "econcast")
-    return std::holds_alternative<EconCastParams>(params);
-  if (name == "econcast-p4") return std::holds_alternative<P4Params>(params);
-  if (name == "oracle") return std::holds_alternative<OracleParams>(params);
-  if (name == "panda") return std::holds_alternative<PandaParams>(params);
-  if (name == "birthday")
-    return std::holds_alternative<BirthdayParams>(params);
-  if (name == "searchlight-bound")
-    return std::holds_alternative<SearchlightParams>(params);
-  if (name == "econcast-testbed")
-    return std::holds_alternative<TestbedParams>(params);
-  return false;
-}
-
 }  // namespace
 
 const char* mode_to_token(model::Mode mode) noexcept {
@@ -319,10 +297,10 @@ model::Mode mode_from_token(const std::string& token) {
 }
 
 Value to_json(const ProtocolSpec& spec) {
-  if (!params_match_name(spec.name, spec.params))
-    throw Error("protocol '" + spec.name +
-                "' is not JSON-serializable (custom protocol, or params do "
-                "not match the name)");
+  const std::string_view expected = protocol_name(spec.params);
+  if (spec.name != expected)
+    throw Error("protocol '" + spec.name + "' carries the parameters of '" +
+                std::string(expected) + "'");
   Value params = params_to_json(spec.params);
   require_finite_params(params, spec.name);
   Object o;
@@ -337,10 +315,11 @@ ProtocolSpec spec_from_json(const Value& value) {
   ProtocolSpec spec;
   spec.name = o.at("name").as_string();
   spec.seed = u64(o, "seed", spec.seed);
-  const Value* params = o.find("params");
-  static const Object empty;
-  spec.params = params_from_json(spec.name,
-                                 params ? params->as_object() : empty);
+  std::optional<ProtocolParams> params = params_for(spec.name);
+  if (!params) throw Error("unknown protocol '" + spec.name + "'");
+  if (const Value* p = o.find("params"))
+    params_from_json(p->as_object(), *params);
+  spec.params = std::move(*params);
   return spec;
 }
 

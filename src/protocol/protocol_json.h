@@ -1,4 +1,4 @@
-// JSON codecs for the protocol layer: ProtocolSpec (registry name + typed
+// JSON codecs for the protocol layer: ProtocolSpec (protocol name + typed
 // parameters) and SimResult. These are the leaves of the sweep-manifest
 // format — runner::SweepSpec manifests embed ProtocolSpecs, and the
 // checkpoint JSONL stream embeds one SimResult per completed cell.
@@ -10,9 +10,9 @@
 // internals — bit-identical, which is what lets a resumed sweep reproduce an
 // uninterrupted run's aggregates exactly.
 //
-// Only the built-in protocols serialize: custom registry entries carry
-// arbitrary typed params this codec cannot name. to_json throws
-// util::json::Error for specs whose name has no codec.
+// to_json throws util::json::Error for a spec whose name is not its
+// parameters' protocol name (protocol_name), and spec_from_json for a name
+// no protocol has.
 #ifndef ECONCAST_PROTOCOL_PROTOCOL_JSON_H
 #define ECONCAST_PROTOCOL_PROTOCOL_JSON_H
 

@@ -200,12 +200,14 @@ CellCache::DirStats CellCache::scan(const std::string& dir) {
         if (!read_entry_line(file.path().string(), line)) return;
         try {
           const Value entry = util::json::parse(line);
-          const std::string& name =
-              entry.at("cost").at("protocol").as_string();
+          const Value& cost = entry.at("cost");
+          const std::string& name = cost.at("protocol").as_string();
+          const double units = cost.at("units").as_number();
           const double wall_ms = entry.at("wall_ms").as_number();
           ProtocolStats& protocol = out.by_protocol[name];
           ++protocol.entries;
           protocol.wall_ms += wall_ms;
+          protocol.units += units;
           out.total_wall_ms += wall_ms;
         } catch (const std::exception&) {
           // Unparsable entries still occupy space; counted above.

@@ -112,6 +112,7 @@ class CellCache {
   struct ProtocolStats {
     std::size_t entries = 0;
     double wall_ms = 0.0;  // recorded compute of those entries
+    double units = 0.0;    // their predicted cost (CostModel::estimate_units)
   };
 
   struct DirStats {
@@ -125,7 +126,8 @@ class CellCache {
   };
 
   /// Scans a cache directory (entry counts, bytes, per-protocol breakdown).
-  /// Unparsable files count toward entries/bytes but not the breakdown.
+  /// Unparsable files count toward entries/bytes but not the breakdown. A
+  /// missing directory scans as empty.
   static DirStats scan(const std::string& dir);
 
   struct GcReport {

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <variant>
 
-#include "util/json.h"
+#include "runner/cell_cache.h"
 
 namespace econcast::runner {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -74,39 +70,12 @@ double CostModel::estimate_ms(const Scenario& cell) const {
 }
 
 void CostModel::calibrate_from_cache(const std::string& cache_dir) {
-  std::error_code ec;
-  if (!fs::is_directory(cache_dir, ec)) return;
-
-  // Accumulate (predicted units, observed ms) per protocol from the "cost"
-  // metadata each cache entry carries; the ratio of the sums is the scale.
-  // A broken entry calibrates nothing — the cache itself re-validates
-  // entries on probe, calibration just skips them.
-  std::map<std::string, std::pair<double, double>> sums;  // units, ms
-  for (fs::recursive_directory_iterator it(cache_dir, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    if (!it->is_regular_file() || it->path().extension() != ".jsonl")
-      continue;
-    std::ifstream in(it->path(), std::ios::binary);
-    std::string line;
-    if (!in || !std::getline(in, line)) continue;
-    try {
-      const util::json::Value entry = util::json::parse(line);
-      const util::json::Value& cost = entry.at("cost");
-      const std::string& name = cost.at("protocol").as_string();
-      const double units = cost.at("units").as_number();
-      const double ms = entry.at("wall_ms").as_number();
-      if (units > 0.0 && ms >= 0.0 && std::isfinite(units) &&
-          std::isfinite(ms)) {
-        sums[name].first += units;
-        sums[name].second += ms;
-      }
-    } catch (const std::exception&) {
-      // Foreign or torn file: not a calibration sample.
-    }
-  }
-  for (const auto& [name, pair] : sums)
-    if (pair.first > 0.0 && pair.second > 0.0)
-      scales_[name] = pair.second / pair.first;
+  // The ratio of a protocol's recorded ms to its predicted units over its
+  // cache entries is its scale. scan() skips what it cannot read; the cache
+  // itself re-validates entries on probe.
+  for (const auto& [name, stats] : CellCache::scan(cache_dir).by_protocol)
+    if (stats.units > 0.0 && stats.wall_ms > 0.0)
+      scales_[name] = stats.wall_ms / stats.units;
 }
 
 std::vector<std::size_t> cost_submit_order(const std::vector<Scenario>& batch) {

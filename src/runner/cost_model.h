@@ -42,8 +42,9 @@ class CostModel {
 
   /// Refines the per-protocol scales from the (units, wall_ms) pairs the
   /// cache entries carry: scale = total observed ms / total predicted
-  /// units, per protocol name. Unreadable or foreign files are skipped; an
-  /// empty or missing directory leaves the model uncalibrated.
+  /// units, per protocol name, as CellCache::scan sums them. Unreadable or
+  /// foreign files are skipped; an empty or missing directory leaves the
+  /// model uncalibrated.
   void calibrate_from_cache(const std::string& cache_dir);
 
   /// ms-per-unit scales by protocol name (exposed for tests/diagnostics).

@@ -55,12 +55,8 @@ BatchResult ScenarioRunner::run_with_seeds(
 
   // Validate the whole batch up front so a misconfigured scenario fails with
   // a deterministic, index-attributed error before any work is spawned:
-  // topology/node-count mismatches, and protocol resolution (unknown name or
-  // wrong parameter type). The resolved protocols are reused by the workers.
-  const protocol::ProtocolRegistry& registry =
-      protocol::ProtocolRegistry::global();
-  std::vector<std::shared_ptr<const protocol::Protocol>> protocols(
-      batch.size());
+  // topology/node-count mismatches, and a protocol name that is unknown or
+  // does not match the parameter type.
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Scenario& s = batch[i];
     if (s.nodes.size() != s.topology.size())
@@ -69,8 +65,8 @@ BatchResult ScenarioRunner::run_with_seeds(
           std::to_string(s.nodes.size()) + " nodes but topology of size " +
           std::to_string(s.topology.size()));
     try {
-      protocols[i] = registry.create(s.protocol);
-    } catch (const std::exception& e) {
+      protocol::check(s.protocol);
+    } catch (const std::invalid_argument& e) {
       throw std::invalid_argument("scenario '" + s.name + "' (index " +
                                   std::to_string(i) + "): " + e.what());
     }
@@ -92,11 +88,11 @@ BatchResult ScenarioRunner::run_with_seeds(
     // clock feeds cost-model calibration and progress ETAs, never results.
     const auto started = std::chrono::steady_clock::now();
     try {
-      out.results[i] = protocols[i]->make_sim(s.nodes, s.topology,
-                                              seeds[i])->run();
+      out.results[i] =
+          protocol::run(s.protocol, s.nodes, s.topology, seeds[i]);
     } catch (const std::invalid_argument& e) {
       // Protocol network-requirement failures (e.g. Panda on a non-clique)
-      // surface only at make_sim time; attribute them to the scenario so a
+      // surface only when the cell runs; attribute them to the scenario so a
       // bad cell in a large expanded sweep is locatable.
       throw std::invalid_argument("scenario '" + s.name + "' (index " +
                                   std::to_string(i) + "): " + e.what());

@@ -5,10 +5,9 @@
 // heterogeneity point, several (N, σ, mode) cells per figure, and every
 // figure overlays several protocols under identical settings. ScenarioRunner
 // makes that batch workload first-class: it executes a vector of
-// (NodeSet, Topology, ProtocolSpec) scenarios — the protocols are resolved
-// through protocol::ProtocolRegistry, so one batch can mix EconCast, Panda,
-// Birthday, analytic bounds and custom protocols — and aggregates the
-// per-scenario SimResults into summary statistics.
+// (NodeSet, Topology, ProtocolSpec) scenarios through protocol::run, so one
+// batch can mix EconCast, Panda, Birthday and the analytic bounds, and
+// aggregates the per-scenario SimResults into summary statistics.
 //
 // Execution is a thin client of the persistent exec::Executor: batches are
 // submitted to exec::Executor::shared() (or an executor of the caller's
@@ -138,8 +137,8 @@ class ScenarioRunner {
 
   /// Runs every scenario of the batch (possibly in parallel) and aggregates.
   /// Throws std::invalid_argument before starting any work when a scenario's
-  /// topology size does not match its node count or its protocol name is not
-  /// registered. The first exception thrown by any scenario is rethrown here
+  /// topology size does not match its node count or protocol::check rejects
+  /// its protocol spec. The first exception thrown by any scenario is rethrown here
   /// after all workers have stopped.
   BatchResult run(const std::vector<Scenario>& batch) const;
 

@@ -48,17 +48,6 @@ SweepSession::SweepSession(SweepManifest manifest, std::string results_path,
 SweepSession::SweepSession(SweepManifest manifest, std::string results_path)
     : SweepSession(std::move(manifest), std::move(results_path), Options{}) {}
 
-SweepSession SweepSession::open(const std::string& manifest_path,
-                                Options options) {
-  return SweepSession(load_manifest(manifest_path),
-                      default_results_path(manifest_path),
-                      std::move(options));
-}
-
-SweepSession SweepSession::open(const std::string& manifest_path) {
-  return open(manifest_path, Options{});
-}
-
 std::string SweepSession::default_results_path(
     const std::string& manifest_path) {
   static constexpr std::string_view kJson = ".json";

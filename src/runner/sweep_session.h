@@ -101,11 +101,6 @@ class SweepSession {
                Options options);
   SweepSession(SweepManifest manifest, std::string results_path);
 
-  /// Convenience: load the manifest file and pair it with
-  /// default_results_path(manifest_path).
-  static SweepSession open(const std::string& manifest_path, Options options);
-  static SweepSession open(const std::string& manifest_path);
-
   /// "<path minus trailing .json>.results.jsonl".
   static std::string default_results_path(const std::string& manifest_path);
 

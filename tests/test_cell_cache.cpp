@@ -12,11 +12,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "protocol/protocol.h"
@@ -238,6 +240,24 @@ TEST(CellCache, ScanAndGcSkipEntriesWhoseStatusCannotBeRead) {
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_EQ(stats.unreadable, 1u);
   EXPECT_DOUBLE_EQ(stats.total_wall_ms, 12.0);
+
+  // Cost-model calibration reads the same directory (the fabric planner's
+  // --cache path): it must skip the loop too and learn each protocol's
+  // scale from the readable entries alone.
+  std::map<std::string, std::pair<double, double>> expected;  // units, ms
+  for (std::size_t i = 0; i < 3; ++i) {
+    expected[cells[i].protocol.name].first +=
+        runner::CostModel::estimate_units(cells[i]);
+    expected[cells[i].protocol.name].second += 4.0;
+  }
+  runner::CostModel model;
+  model.calibrate_from_cache(cache_dir.string());
+  ASSERT_EQ(model.scales().size(), expected.size());
+  for (const auto& [name, sums] : expected) {
+    SCOPED_TRACE(name);
+    EXPECT_DOUBLE_EQ(stats.by_protocol.at(name).units, sums.first);
+    EXPECT_DOUBLE_EQ(model.scales().at(name), sums.second / sums.first);
+  }
 
   const auto report = runner::CellCache::gc(cache_dir.string(), 0);
   EXPECT_EQ(report.entries_before, 3u);

@@ -51,7 +51,7 @@ std::vector<Scenario> mixed_batch() {
   return batch;
 }
 
-/// A batch mixing four registry protocols — the paper's comparison setting
+/// A batch mixing four protocols — the paper's comparison setting
 /// (EconCast vs Panda vs Birthday under identical (N, ρ, L, X)).
 std::vector<Scenario> mixed_protocol_batch() {
   std::vector<Scenario> batch;
@@ -178,14 +178,27 @@ TEST(ScenarioRunner, RejectsTopologyNodeCountMismatch) {
 TEST(ScenarioRunner, RejectsUnknownProtocol) {
   std::vector<Scenario> batch = mixed_batch();
   batch[1].protocol.name = "carrier-pigeon";
-  ScenarioRunner r(RunnerOptions{2, 1, true});
-  EXPECT_THROW(r.run(batch), std::invalid_argument);
+  RunnerOptions options{2, 1, true};
+  std::size_t cells_run = 0;
+  options.on_scenario_done = [&](const runner::ScenarioProgress&) {
+    ++cells_run;
+  };
+  ScenarioRunner r(options);
+  try {
+    r.run(batch);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("index 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("carrier-pigeon"), std::string::npos) << message;
+  }
+  EXPECT_EQ(cells_run, 0u);  // rejected before any cell ran
 }
 
 TEST(ScenarioRunner, AttributesWorkerSideRequirementFailures) {
   // A size-matched non-clique slips past upfront validation; Panda rejects
-  // it at make_sim time inside a worker — the rethrown error must still
-  // name the scenario and its batch index.
+  // it when protocol::run executes the cell inside a worker — the rethrown
+  // error must still name the scenario and its batch index.
   std::vector<Scenario> batch = mixed_batch();
   batch.push_back(Scenario{"panda-on-a-line",
                            model::homogeneous(4, 10.0, 500.0, 500.0),
@@ -205,7 +218,12 @@ TEST(ScenarioRunner, AttributesWorkerSideRequirementFailures) {
 TEST(ScenarioRunner, RejectsWrongParamsTypeUpfrontWithIndex) {
   std::vector<Scenario> batch = mixed_batch();
   batch[4].protocol.name = "birthday";  // params stay EconCastParams
-  ScenarioRunner r(RunnerOptions{2, 1, true});
+  RunnerOptions options{2, 1, true};
+  std::size_t cells_run = 0;
+  options.on_scenario_done = [&](const runner::ScenarioProgress&) {
+    ++cells_run;
+  };
+  ScenarioRunner r(options);
   try {
     r.run(batch);
     FAIL() << "expected std::invalid_argument";
@@ -214,6 +232,7 @@ TEST(ScenarioRunner, RejectsWrongParamsTypeUpfrontWithIndex) {
     EXPECT_NE(message.find("index 4"), std::string::npos) << message;
     EXPECT_NE(message.find("birthday"), std::string::npos) << message;
   }
+  EXPECT_EQ(cells_run, 0u);  // rejected before any cell ran
 }
 
 // ------------------------------------------------------------ determinism --

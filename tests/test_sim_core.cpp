@@ -39,21 +39,25 @@ TEST(EnergyLedger, PiecewiseAccounting) {
   EXPECT_DOUBLE_EQ(e.consumed(i, 10.0), 10.0);
 }
 
-TEST(EnergyLedger, ClampingBoundsArePerSlot) {
+TEST(EnergyLedger, SlotsAreIndependent) {
   EnergyLedger e;
   const std::size_t free_slot = e.add(1.0, 0.0);
   const std::size_t i = e.add(1.0, 0.0);
-  e.set_bounds(i, 0.0, 3.0);
   e.set_draw(i, 0.0, 0.0);
-  // Harvest beyond the cap is wasted.
-  e.set_draw(i, 5.0, 10.0);  // settle at t=10: level clamped to 3
-  EXPECT_DOUBLE_EQ(e.level(i, 10.0), 3.0);
-  // Deficit beyond the floor is lost.
-  e.set_draw(i, 0.0, 20.0);  // (1-5)*10 would be -37; clamped to 0 at settle
-  EXPECT_DOUBLE_EQ(e.level(i, 20.0), 0.0);
-  // The neighboring slot stays unbounded and untouched.
+  e.set_draw(i, 5.0, 10.0);  // settle at t=10: harvest only
+  EXPECT_DOUBLE_EQ(e.level(i, 10.0), 10.0);
+  e.set_draw(i, 0.0, 20.0);  // (1-5)*10 on top: the level goes negative
+  EXPECT_DOUBLE_EQ(e.level(i, 20.0), -30.0);
+  EXPECT_DOUBLE_EQ(e.consumed(i, 20.0), 50.0);
+  // The neighboring slot saw none of those draws.
   EXPECT_DOUBLE_EQ(e.level(free_slot, 20.0), 20.0);
   EXPECT_DOUBLE_EQ(e.consumed(free_slot, 20.0), 0.0);
+  // And a draw on the neighbor leaves the first slot alone.
+  e.set_draw(free_slot, 2.0, 20.0);
+  EXPECT_DOUBLE_EQ(e.level(free_slot, 30.0), 10.0);
+  EXPECT_DOUBLE_EQ(e.consumed(free_slot, 30.0), 20.0);
+  EXPECT_DOUBLE_EQ(e.level(i, 30.0), -20.0);
+  EXPECT_DOUBLE_EQ(e.consumed(i, 30.0), 50.0);
 }
 
 TEST(EnergyLedger, QueryDoesNotMutate) {

@@ -136,9 +136,8 @@ TEST(ProtocolJson, SimResultRoundTripsBitIdentically) {
   cfg.seed = 99;
   const auto nodes = model::homogeneous(4, 10.0, 500.0, 500.0);
   const auto spec = protocol::econcast_spec(cfg);
-  const auto sim = protocol::ProtocolRegistry::global().create(spec)->make_sim(
-      nodes, model::Topology::clique(4), 1234567890123456789ULL);
-  const protocol::SimResult r = sim->run();
+  const protocol::SimResult r = protocol::run(
+      spec, nodes, model::Topology::clique(4), 1234567890123456789ULL);
   ASSERT_GT(r.packets_received, 0u);
   ASSERT_GT(r.burst_lengths.count(), 0u);
   ASSERT_FALSE(r.latencies.samples().empty());

@@ -242,6 +242,33 @@ void BM_SimulatorGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorGrid)->Arg(4)->Arg(8)->Arg(16);
 
+// The clique-ladder cells at a tenth of their horizon: σ = 0.5 under the
+// fig6 guard settings, where every burst start cancels and every burst end
+// re-samples the pending transitions of all N - 1 neighbours.
+void BM_SimulatorClique(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto nodes = model::homogeneous(n, 10.0, 500.0, 500.0);
+  const auto topo = model::Topology::clique(n);
+  std::uint64_t seed = 1;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    proto::SimConfig cfg;
+    cfg.sigma = 0.5;
+    cfg.duration = 1e5;
+    cfg.warmup = cfg.duration * 0.4;
+    cfg.seed = seed++;
+    cfg.energy_guard = true;
+    cfg.initial_energy = 5e5;
+    proto::Simulation sim(nodes, topo, cfg);
+    const auto r = sim.run();
+    events += r.events_processed;
+    benchmark::DoNotOptimize(r.groupput);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.SetLabel("N=" + std::to_string(n));
+}
+BENCHMARK(BM_SimulatorClique)->Arg(25)->Arg(100);
+
 }  // namespace
 
 BENCHMARK_MAIN();

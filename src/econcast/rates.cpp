@@ -77,6 +77,12 @@ void RateController::fill_listen_to_transmit_row(
   }
 }
 
+std::size_t RateController::listen_to_transmit_width(
+    std::size_t max_count) const noexcept {
+  if (variant_ != Variant::kNonCapture) return 1;
+  return mode_ == model::Mode::kGroupput ? max_count + 1 : 2;
+}
+
 double RateController::transmit_to_listen(double listener_count) const noexcept {
   if (variant_ == Variant::kNonCapture) return 1.0;  // (18f)
   return safe_exp(-effective_estimate(listener_count) / sigma_);  // (18e)

@@ -52,6 +52,12 @@ class RateController {
   void fill_listen_to_transmit_row(double eta, double* row,
                                    std::size_t width) const noexcept;
 
+  /// The width of a λ_lx row that serves every listener count c in
+  /// [0, max_count] when read at column min(c, width - 1): 1 for the
+  /// capture variant (18c has no count term), 2 for non-capture anyput
+  /// (γ̂ is 0 or 1) and max_count + 1 for non-capture groupput.
+  std::size_t listen_to_transmit_width(std::size_t max_count) const noexcept;
+
   /// λ_xl, eqs. (18e)/(18f). `listener_count` is the number of listeners the
   /// transmitter observed (pings).
   double transmit_to_listen(double listener_count) const noexcept;

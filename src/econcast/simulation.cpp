@@ -72,20 +72,24 @@ Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
   transmit_time_.assign(n, 0.0);
   eta_.assign(n, 0.0);
   wake_rate_.assign(n, 0.0);
-  std::size_t max_degree = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    max_degree = std::max(max_degree, topo_.neighbors(i).size());
-  tx_rate_width_ = max_degree + 1;
-  tx_rate_.assign(n * tx_rate_width_, 0.0);  // rows filled by refresh_eta
   energy_.reserve(n);
   burst_rx_flag_.assign(n, 0);
   burst_rx_list_.reserve(n);
 
   rates_.reserve(n);
-  nodes_rt_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i)
     rates_.emplace_back(nodes_[i].listen_power, nodes_[i].transmit_power,
                         config_.sigma, config_.variant, config_.mode);
+  // A node observes at most its degree in listeners. Every controller has
+  // the same variant and mode, so one width fits every row.
+  std::size_t max_degree = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    max_degree = std::max(max_degree, topo_.neighbors(i).size());
+  tx_rate_width_ = rates_.front().listen_to_transmit_width(max_degree);
+  tx_rate_.assign(n * tx_rate_width_, 0.0);  // rows filled by refresh_eta
+
+  nodes_rt_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const double eta0 = config_.eta_init.empty()
                             ? config_.multiplier.eta_init
                             : config_.eta_init[i];
@@ -108,8 +112,10 @@ void Simulation::refresh_eta(NodeId i) {
   // Eager batch refill: one contiguous pass over the node's memo row per η
   // update replaces the old invalidate-then-lazily-recompute scheme, so the
   // hot-loop query below is a plain load with no staleness check. The row
-  // entries are the exact per-call expressions (see
-  // RateController::fill_listen_to_transmit_row), so results are unchanged.
+  // holds only the rate's distinct count columns (one entry for EconCast-C,
+  // two for non-capture anyput), and its entries are the exact per-call
+  // expressions (see RateController::fill_listen_to_transmit_row), so
+  // results are unchanged.
   rates_[i].fill_listen_to_transmit_row(
       eta_[i], tx_rate_.data() + static_cast<std::size_t>(i) * tx_rate_width_,
       tx_rate_width_);
@@ -121,9 +127,9 @@ double Simulation::wake_rate(NodeId i, bool idle) {
 
 double Simulation::listen_tx_rate(NodeId i, bool idle) {
   if (!idle) return 0.0;
-  const int count = observed_listeners(i);
+  const auto count = static_cast<std::size_t>(observed_listeners(i));
   return tx_rate_[static_cast<std::size_t>(i) * tx_rate_width_ +
-                  static_cast<std::size_t>(count)];
+                  std::min(count, tx_rate_width_ - 1)];
 }
 
 void Simulation::occupancy_advance() {

@@ -202,7 +202,8 @@ class Simulation {
   sim::ArenaVector<double> eta_;        // mirror of nodes_rt_[i].multiplier
   sim::ArenaVector<double> wake_rate_;  // λ_sl(η) at idle; refreshed with η
   sim::ArenaVector<double> tx_rate_;    // λ_lx(η, c) memo, row per node,
-  std::size_t tx_rate_width_ = 0;       //   column per count; rows refilled
+  std::size_t tx_rate_width_ = 0;       //   count c read at column
+                                        //   min(c, width - 1); rows refilled
                                         //   eagerly on every η update
   sim::EnergyLedger energy_;
 

@@ -48,13 +48,15 @@ std::vector<Coordinator::SweepStatus> Coordinator::pass() {
 
   std::vector<SweepStatus> statuses;
   statuses.reserve(manifests.size());
+  std::optional<runner::CostModel> model;
   for (const std::string& path : manifests)
-    statuses.push_back(pass_manifest(path));
+    statuses.push_back(pass_manifest(path, model));
   return statuses;
 }
 
 Coordinator::SweepStatus Coordinator::pass_manifest(
-    const std::string& manifest_path) {
+    const std::string& manifest_path,
+    std::optional<runner::CostModel>& model) {
   SweepStatus status;
   status.manifest_path = manifest_path;
 
@@ -63,11 +65,16 @@ Coordinator::SweepStatus Coordinator::pass_manifest(
   status.plan_pinned = !plan_exists(manifest_path);
   // Only a plan this pass actually pins pays for cost balancing; an
   // existing plan.json keeps its bounds regardless (pin_plan contract).
+  const bool balance = status.plan_pinned && !options_.cache_dir.empty();
+  if (balance && !model) {
+    model.emplace();
+    model->calibrate_from_cache(options_.cache_dir);
+  }
   const ShardPlan plan =
-      status.plan_pinned && !options_.cache_dir.empty()
+      balance
           ? pin_plan(manifest_path,
                      cost_balanced_plan(manifest, options_.shard_count,
-                                        options_.cache_dir))
+                                        options_.cache_dir, *model))
           : pin_plan(manifest_path, status.total_cells, options_.shard_count);
   status.shard_count = plan.shard_count();
 

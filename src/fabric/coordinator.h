@@ -22,8 +22,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "runner/cost_model.h"
 
 namespace econcast::fabric {
 
@@ -42,7 +45,8 @@ class Coordinator {
     /// against this cache directory (see cost_plan.h) instead of
     /// equal-split: shards carry equal estimated *remaining* cost, cached
     /// cells counting as zero. Manifests with an already-pinned plan keep
-    /// their pinned bounds either way.
+    /// their pinned bounds either way. A pass scans the cache at most
+    /// once, to calibrate the cost model, and only when it pins a plan.
     std::string cache_dir;
   };
 
@@ -71,7 +75,10 @@ class Coordinator {
   std::vector<SweepStatus> pass();
 
  private:
-  SweepStatus pass_manifest(const std::string& manifest_path);
+  /// `model` is the pass's cost model, calibrated from the cache the first
+  /// time a manifest of the pass needs a cost-balanced plan.
+  SweepStatus pass_manifest(const std::string& manifest_path,
+                            std::optional<runner::CostModel>& model);
 
   std::string spool_dir_;
   Options options_;

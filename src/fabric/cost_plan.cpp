@@ -4,24 +4,20 @@
 #include <vector>
 
 #include "runner/cell_cache.h"
-#include "runner/cost_model.h"
 #include "runner/sweep_session.h"
 
 namespace econcast::fabric {
 
 ShardPlan cost_balanced_plan(const runner::SweepManifest& manifest,
                              std::size_t shard_count,
-                             const std::string& cache_dir) {
+                             const std::string& cache_dir,
+                             const runner::CostModel& model) {
   const std::vector<runner::Scenario> cells =
       runner::expand_with_overrides(manifest);
   const std::size_t n = cells.size();
 
-  runner::CostModel model;
   std::optional<runner::CellCache> cache;
-  if (!cache_dir.empty()) {
-    cache.emplace(cache_dir);
-    model.calibrate_from_cache(cache_dir);
-  }
+  if (!cache_dir.empty()) cache.emplace(cache_dir);
 
   std::vector<double> cost(n);
   double total = 0.0;

@@ -6,10 +6,10 @@
 // N=25 analytic bound — and a shared result cache skews them further: a
 // cached cell costs ~nothing no matter its size. cost_balanced_plan
 // partitions the expansion so every shard carries (approximately) the same
-// *estimated remaining* cost instead: per-cell estimates come from the
-// runner::CostModel (calibrated from the cache's observed wall clocks when
-// a cache directory is given) and cells already present in the cache count
-// as zero.
+// *estimated remaining* cost instead: per-cell estimates come from a
+// runner::CostModel the caller calibrates from the cache's observed wall
+// clocks (once, however many manifests it plans), and cells already
+// present in the cache count as zero.
 //
 // The partition is still contiguous-by-index — that is what keeps the
 // byte-identical merge trivial (shard files concatenate in order) — so the
@@ -25,18 +25,22 @@
 #include <string>
 
 #include "fabric/shard_plan.h"
+#include "runner/cost_model.h"
 #include "runner/manifest.h"
 
 namespace econcast::fabric {
 
-/// The cost-balanced plan for `manifest` split `shard_count` ways.
-/// `cache_dir` may be empty (no cache: estimates only, nothing counts as
-/// zero). Falls back to the equal split when every cell estimates to zero
-/// remaining cost (e.g. a fully cached sweep). Throws what ShardPlan /
-/// manifest expansion throw.
+/// The cost-balanced plan for `manifest` split `shard_count` ways, each
+/// uncached cell weighted by `model.estimate_ms`. `cache_dir` may be empty
+/// (no cache: estimates only, nothing counts as zero); a model calibrated
+/// from it (CostModel::calibrate_from_cache) gives the cells of different
+/// protocols their observed relative cost. Falls back to the equal split
+/// when every cell estimates to zero remaining cost (e.g. a fully cached
+/// sweep). Throws what ShardPlan / manifest expansion throw.
 ShardPlan cost_balanced_plan(const runner::SweepManifest& manifest,
                              std::size_t shard_count,
-                             const std::string& cache_dir);
+                             const std::string& cache_dir,
+                             const runner::CostModel& model);
 
 }  // namespace econcast::fabric
 

@@ -30,8 +30,8 @@ class CostModel {
  public:
   /// Protocol-class polynomial, in arbitrary "units" comparable across
   /// cells: simulated protocols scale with node count × simulated horizon
-  /// (EconCast superlinearly in N — its listener dynamics and rate-memo
-  /// refills grow with degree), analytic protocols with N alone. Pure
+  /// (EconCast superlinearly in N — its carrier-sense fan-out and listener
+  /// dynamics grow with degree), analytic protocols with N alone. Pure
   /// function of the scenario spec; never consults the clock.
   static double estimate_units(const Scenario& cell);
 

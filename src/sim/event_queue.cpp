@@ -24,14 +24,18 @@ void EventQueue::place(std::size_t i, const Event& e) {
 void EventQueue::settle(std::size_t i, const Event& e) {
   const EventLater later;
   while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
+    const std::size_t parent = (i - 1) / kArity;
     if (!later(heap_[parent], e)) break;
     place(i, heap_[parent]);
     i = parent;
   }
   const std::size_t n = heap_.size();
-  for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
-    if (child + 1 < n && later(heap_[child], heap_[child + 1])) ++child;
+  for (std::size_t first = kArity * i + 1; first < n;
+       first = kArity * i + 1) {
+    const std::size_t last = std::min(first + kArity, n);
+    std::size_t child = first;
+    for (std::size_t c = first + 1; c < last; ++c)
+      if (later(heap_[child], heap_[c])) child = c;
     if (!later(e, heap_[child])) break;
     place(i, heap_[child]);
     i = child;

@@ -1,8 +1,9 @@
 // Future-event list for the continuous-time simulators: an addressable
-// binary heap plus one FIFO lane per event kind, all over reservable
+// 4-ary heap plus one FIFO lane per event kind, all over reservable
 // (optionally arena-backed) storage, popping in the strict total order
 // (time, seq) — seq is assigned at every push and (re)schedule, so
-// simultaneous events pop first-in first-out.
+// simultaneous events pop first-in first-out. Because no two events share
+// a seq, that order fixes the pop sequence whatever the heap's shape.
 //
 // Cancellation is owned by the queue. `schedule()` enters a *cancellable*
 // event in its (node, kind) slot, and every slot knows the heap position of
@@ -12,6 +13,14 @@
 // priority queue of the next-reaction method (Gibson & Bruck, J. Phys.
 // Chem. A 104:1876, 2000). Re-sampling on cancel is statistically valid
 // because the sojourn times are exponential (memorylessness).
+//
+// The heap is 4-ary: the parent of index i is (i - 1) / 4 and its children
+// are 4i + 1 … 4i + 4. In a clique, carrier sense makes removals and
+// reschedules most of the heap's work — every burst start cancels the
+// pending transition of all N - 1 neighbours and every burst end
+// re-samples them — and a 4-ary sift crosses half the levels of a binary
+// one, at up to four comparisons per level among children that share a
+// cache line or two.
 //
 // `push()` enters a durable event that no cancellation affects. Durable
 // events come at a fixed delay — EconCast's interval ends at now + τ, which
@@ -120,6 +129,7 @@ class EventQueue {
 
  private:
   static constexpr std::size_t kNoPosition = ~std::size_t{0};
+  static constexpr std::size_t kArity = 4;  // children per heap node
   static constexpr std::size_t kFirstLaneCapacity = 8;
 
   /// A FIFO ring of durable events of one kind, sorted on (time, seq).
@@ -152,7 +162,7 @@ class EventQueue {
   void grow(Lane& lane);
   void note_push();
 
-  ArenaVector<Event> heap_;               // min-heap on EventLater
+  ArenaVector<Event> heap_;               // 4-ary min-heap on EventLater
   ArenaVector<std::size_t> position_;     // node-major, kEventKindCount wide:
                                           // heap index or kNoPosition
   Lane lanes_[kEventKindCount];           // durable pushes, per kind

@@ -256,11 +256,7 @@ class DifferentialHarness {
     const Event b = model_.begin()->second;
     model_.erase(model_.begin());
     if (b.cancellable) scheduled_.erase({b.node, b.kind});
-    EXPECT_EQ(a.time, b.time);
-    EXPECT_EQ(a.seq, b.seq);
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.node, b.node);
-    EXPECT_EQ(a.cancellable, b.cancellable);
+    expect_same(a, b);
     ++pops_;
     check();
     return a;
@@ -290,11 +286,21 @@ class DifferentialHarness {
     ++cancels_;
   }
 
+  static void expect_same(const Event& a, const Event& b) {
+    EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.seq, b.seq);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.node, b.node);
+    EXPECT_EQ(a.cancellable, b.cancellable);
+  }
+
   /// After every operation: the queue stores exactly the model's live
-  /// events, and its counters match the model's.
+  /// events, its top is the model's earliest, and its counters match the
+  /// model's.
   void check() {
     peak_ = std::max(peak_, model_.size());
     EXPECT_EQ(queue_.size(), model_.size());
+    if (!model_.empty()) expect_same(queue_.top(), model_.begin()->second);
     EXPECT_EQ(queue_.stats().cancels, cancels_);
     EXPECT_EQ(queue_.stats().peak_live, peak_);
     expect_accounted(queue_);
@@ -444,6 +450,53 @@ TEST(EventQueueDifferential, SimulatorLanePattern) {
     }
     q.drain_and_compare();
   }
+}
+
+TEST(EventQueueDifferential, FourAryLevelBoundaries) {
+  // Complete 4-ary heaps of one to five levels hold 1, 5, 21, 85 and 341
+  // events. Each size, and one past it (a lone entry on a new level), is
+  // built from scheduled events; then, each on a fresh copy, every heap
+  // position is cancelled, rescheduled earlier (to the root), later (past
+  // every leaf) and to a random time, and the rest is drained. A child's
+  // time is its parent's plus a gap, so node i enters at heap index i and
+  // stays there; the gaps span four orders of magnitude, so the last entry,
+  // which fills a cancelled position, sifts up under some positions and
+  // down under others.
+  constexpr std::size_t kArity = 4;
+  const auto parent = [](std::size_t i) { return (i - 1) / kArity; };
+  util::Rng rng(4);
+  std::size_t sift_ups = 0;
+  for (const std::size_t full : {1u, 5u, 21u, 85u, 341u}) {
+    for (const std::size_t n : {full, full + 1}) {
+      std::vector<double> times(n, 1.0);
+      for (std::size_t i = 1; i < n; ++i)
+        times[i] = times[parent(i)] + rng.exponential(1.0) *
+                                          (rng.uniform() < 0.5 ? 0.01 : 100.0);
+      const double latest = *std::max_element(times.begin(), times.end());
+      for (std::size_t p = 0; p < n; ++p) {
+        if (p > 0 && p + 1 < n && times[n - 1] < times[parent(p)]) ++sift_ups;
+        const auto node = static_cast<std::uint32_t>(p);
+        for (int op = 0; op < 4; ++op) {
+          DifferentialHarness q;
+          for (std::size_t i = 0; i < n; ++i)
+            q.schedule(times[i], EventKind::kTransition,
+                       static_cast<std::uint32_t>(i));
+          if (op == 0) {
+            q.cancel(node, EventKind::kTransition);
+          } else {
+            const double to = op == 1   ? times[0] - 1.0
+                              : op == 2 ? latest + 1.0
+                                        : times[0] + rng.uniform() *
+                                                         (latest - times[0]);
+            q.schedule(to, EventKind::kTransition, node);
+          }
+          q.drain_and_compare();
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(sift_ups, 0u);
 }
 
 // ------------------------------------------------ end-to-end accounting --

@@ -22,6 +22,7 @@
 #include "fabric/shard_plan.h"
 #include "fabric/worker.h"
 #include "protocol/protocol.h"
+#include "runner/cost_model.h"
 #include "runner/manifest.h"
 #include "runner/sweep_session.h"
 
@@ -201,7 +202,8 @@ TEST(ShardPlan, CostBalancedPlanCoversCellsAndZeroesCachedWork) {
   const runner::SweepManifest manifest = small_manifest();
 
   // Without a cache the plan is still a valid contiguous 3-way partition.
-  const fabric::ShardPlan plan = fabric::cost_balanced_plan(manifest, 3, "");
+  const fabric::ShardPlan plan =
+      fabric::cost_balanced_plan(manifest, 3, "", runner::CostModel{});
   EXPECT_EQ(plan.total_cells(), 16u);
   EXPECT_EQ(plan.shard_count(), 3u);
   EXPECT_EQ(plan.bounds().front(), 0u);
@@ -217,16 +219,18 @@ TEST(ShardPlan, CostBalancedPlanCoversCellsAndZeroesCachedWork) {
   for (std::size_t i = 0; i < cells.size(); ++i)
     cache.publish(cells[i], runner::manifest_cell_seed(manifest, cells[i], i),
                   result, 1.0);
+  runner::CostModel model;
+  model.calibrate_from_cache(cache_dir);
   EXPECT_TRUE(
-      fabric::cost_balanced_plan(manifest, 3, cache_dir).equal_split());
+      fabric::cost_balanced_plan(manifest, 3, cache_dir, model).equal_split());
 
   // With everything cached but the last cell, all remaining cost sits in
   // cell 15: every cut lands at 16 and the first shard owns all the work.
   fs::remove(cache.entry_path(
       cache.cell_key(cells[15],
                      runner::manifest_cell_seed(manifest, cells[15], 15))));
-  const fabric::ShardPlan tail = fabric::cost_balanced_plan(manifest, 3,
-                                                            cache_dir);
+  const fabric::ShardPlan tail =
+      fabric::cost_balanced_plan(manifest, 3, cache_dir, model);
   EXPECT_EQ(tail.bounds(),
             (std::vector<std::size_t>{0, 16, 16, 16}));
 }
@@ -707,6 +711,42 @@ TEST(Fabric, CoordinatorLeavesFreshClaimsAlone) {
   EXPECT_THROW(fabric::Coordinator(dir.string(),
                                    fabric::Coordinator::Options{0, 60, {}}),
                std::invalid_argument);
+}
+
+TEST(Fabric, CoordinatorPinsEveryPlanFromOneCalibration) {
+  // Two manifests pinned in one pass share one calibration of the cost
+  // model: each plan.json must hold the bounds cost_balanced_plan gives
+  // with a model calibrated from the same cache.
+  const fs::path dir = test_dir();
+  const runner::SweepManifest first = small_manifest();
+  runner::SweepManifest second = small_manifest();
+  second.base_seed = 8;
+  const std::string first_path = write_spool_manifest(dir, first, "a");
+  const std::string second_path = write_spool_manifest(dir, second, "b");
+
+  // Half of the first sweep is cached, with skewed recorded wall clocks so
+  // the calibrated per-protocol scales differ from the built-in default.
+  const std::string cache_dir = (dir / "cache").string();
+  runner::CellCache cache(cache_dir);
+  const auto cells = runner::expand_with_overrides(first);
+  const protocol::SimResult result;
+  for (std::size_t i = 0; i < cells.size() / 2; ++i)
+    cache.publish(cells[i], runner::manifest_cell_seed(first, cells[i], i),
+                  result, 1.0 + 40.0 * static_cast<double>(i));
+  runner::CostModel model;
+  model.calibrate_from_cache(cache_dir);
+
+  fabric::Coordinator::Options options;
+  options.shard_count = 3;
+  options.cache_dir = cache_dir;
+  const auto statuses = fabric::Coordinator(dir.string(), options).pass();
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_EQ(fabric::load_plan(first_path).bounds(),
+            fabric::cost_balanced_plan(first, 3, cache_dir, model).bounds());
+  EXPECT_EQ(fabric::load_plan(second_path).bounds(),
+            fabric::cost_balanced_plan(second, 3, cache_dir, model).bounds());
+  EXPECT_NE(fabric::load_plan(first_path).bounds(),
+            fabric::load_plan(second_path).bounds());
 }
 
 }  // namespace

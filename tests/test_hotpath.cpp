@@ -1,9 +1,11 @@
 // Tests for the simulation hot path: the scenario arena and its allocator,
 // the incremental listener counts (randomized differential test against an
 // O(degree) scan written here), the memoized rate rows (bit-identical to the
-// per-call rate expressions), and the estimator validation sweep.
+// per-call rate expressions, full-width and narrowed), and the estimator
+// validation sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -181,6 +183,45 @@ TEST(RateRowMemo, FillRowMatchesPerCallBitForBit) {
                 << "variant " << static_cast<int>(variant) << " mode "
                 << static_cast<int>(mode) << " sigma " << sigma << " eta "
                 << eta << " c " << c << ": " << row[c] << " vs " << expected;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The simulator sizes every row by listen_to_transmit_width and reads count
+// c at column min(c, width - 1); that narrow row must serve every count the
+// way the per-call expression does.
+TEST(RateRowMemo, NarrowRowServesEveryCountBitForBit) {
+  const std::size_t max_count = 100;  // a clique of N = 101
+  for (const auto variant :
+       {proto::Variant::kCapture, proto::Variant::kNonCapture}) {
+    for (const auto mode : {model::Mode::kGroupput, model::Mode::kAnyput}) {
+      const std::size_t expected_width =
+          variant == proto::Variant::kCapture ? 1
+          : mode == model::Mode::kAnyput      ? 2
+                                              : max_count + 1;
+      for (const double sigma : {0.1, 0.25, 0.5, 0.75}) {
+        const proto::RateController rates(500.0, 750.0, sigma, variant, mode);
+        const std::size_t width = rates.listen_to_transmit_width(max_count);
+        ASSERT_EQ(width, expected_width)
+            << "variant " << static_cast<int>(variant) << " mode "
+            << static_cast<int>(mode);
+        for (const double eta :
+             {0.0, 1e-6, 0.003, 0.0125, 0.4, 2.5, -0.002, 37.0}) {
+          std::vector<double> row(width,
+                                  std::numeric_limits<double>::quiet_NaN());
+          rates.fill_listen_to_transmit_row(eta, row.data(), width);
+          for (std::size_t c = 0; c <= max_count; ++c) {
+            const double expected = rates.listen_to_transmit(
+                eta, static_cast<double>(c), /*channel_idle=*/true);
+            const double served = row[std::min(c, width - 1)];
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(served),
+                      std::bit_cast<std::uint64_t>(expected))
+                << "variant " << static_cast<int>(variant) << " mode "
+                << static_cast<int>(mode) << " sigma " << sigma << " eta "
+                << eta << " c " << c << ": " << served << " vs " << expected;
           }
         }
       }

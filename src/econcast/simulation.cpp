@@ -31,19 +31,8 @@ Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
       config_(std::move(config)),
       estimator_(config_.estimator),
       rng_(config_.seed, util::Rng::kDefaultBlock),
-      queue_(&arena_),
-      channel_(topo_, &arena_),
-      metrics_(nodes_.size()),
-      state_(sim::ArenaAllocator<NodeState>(&arena_)),
-      state_since_(sim::ArenaAllocator<double>(&arena_)),
-      listen_time_(sim::ArenaAllocator<double>(&arena_)),
-      transmit_time_(sim::ArenaAllocator<double>(&arena_)),
-      eta_(sim::ArenaAllocator<double>(&arena_)),
-      wake_rate_(sim::ArenaAllocator<double>(&arena_)),
-      tx_rate_(sim::ArenaAllocator<double>(&arena_)),
-      energy_(&arena_),
-      burst_rx_flag_(sim::ArenaAllocator<std::uint8_t>(&arena_)),
-      burst_rx_list_(sim::ArenaAllocator<NodeId>(&arena_)) {
+      channel_(topo_),
+      metrics_(nodes_.size()) {
   model::validate(nodes_);
   if (nodes_.size() != topo_.size())
     throw std::invalid_argument("nodes/topology size mismatch");

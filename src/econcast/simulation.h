@@ -10,7 +10,7 @@
 //
 // Hot-path layout: the per-node fields the inner loops touch on every event
 // (state, state_since, the η mirror, the energy balance) live in parallel
-// arrays backed by a per-scenario bump arena, not in the per-node struct.
+// arrays sized once in the constructor, not in the per-node struct.
 // Listener counts come from the channel's incrementally maintained per-node
 // counts, and the rate exponentials are memoized between η updates; the
 // memo entries are produced by the exact RateController expressions, so
@@ -27,7 +27,6 @@
 #include "model/network.h"
 #include "model/node_params.h"
 #include "model/state_space.h"
-#include "sim/arena.h"
 #include "sim/channel.h"
 #include "sim/energy.h"
 #include "sim/event_queue.h"
@@ -116,6 +115,10 @@ struct SimResult {
 class Simulation {
  public:
   Simulation(model::NodeSet nodes, model::Topology topology, SimConfig config);
+  // channel_ refers to topo_: a copy or a move would leave it reading the
+  // source's topology.
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
 
   /// Runs to config.duration and collects results. Call once.
   SimResult run();
@@ -184,31 +187,27 @@ class Simulation {
   util::Rng rng_;
 
   double now_ = 0.0;
-  // The scenario arena backs every member below it; it is declared first so
-  // it is destroyed last (and Simulation is immovable because of it — the
-  // containers hold raw pointers into it).
-  sim::Arena arena_;
   sim::EventQueue queue_;
   sim::Channel channel_;
   sim::MetricsCollector metrics_;
   std::vector<NodeRuntime> nodes_rt_;  // cold per-node state
 
-  // Hot per-node state, struct-of-arrays (all arena-backed, assigned after
-  // validation in the constructor):
-  sim::ArenaVector<NodeState> state_;
-  sim::ArenaVector<double> state_since_;
-  sim::ArenaVector<double> listen_time_;    // inside the measured window
-  sim::ArenaVector<double> transmit_time_;
-  sim::ArenaVector<double> eta_;        // mirror of nodes_rt_[i].multiplier
-  sim::ArenaVector<double> wake_rate_;  // λ_sl(η) at idle; refreshed with η
-  sim::ArenaVector<double> tx_rate_;    // λ_lx(η, c) memo, row per node,
-  std::size_t tx_rate_width_ = 0;       //   count c read at column
-                                        //   min(c, width - 1); rows refilled
-                                        //   eagerly on every η update
+  // Hot per-node state, struct-of-arrays (assigned after validation in the
+  // constructor):
+  std::vector<NodeState> state_;
+  std::vector<double> state_since_;
+  std::vector<double> listen_time_;  // inside the measured window
+  std::vector<double> transmit_time_;
+  std::vector<double> eta_;        // mirror of nodes_rt_[i].multiplier
+  std::vector<double> wake_rate_;  // λ_sl(η) at idle; refreshed with η
+  std::vector<double> tx_rate_;    // λ_lx(η, c) memo, row per node,
+  std::size_t tx_rate_width_ = 0;  //   count c read at column
+                                   //   min(c, width - 1); rows refilled
+                                   //   eagerly on every η update
   sim::EnergyLedger energy_;
 
-  sim::ArenaVector<std::uint8_t> burst_rx_flag_;  // receivers of current burst
-  sim::ArenaVector<sim::NodeId> burst_rx_list_;
+  std::vector<std::uint8_t> burst_rx_flag_;  // receivers of current burst
+  std::vector<sim::NodeId> burst_rx_list_;
   std::uint64_t events_processed_ = 0;
 
   // Occupancy tracker state.

@@ -6,28 +6,14 @@
 #include <vector>
 
 #include "fabric/shard_plan.h"
-#include "protocol/protocol.h"
 #include "runner/manifest.h"
-#include "runner/scenario_runner.h"
+#include "runner/sweep_session.h"
 #include "util/json.h"
 
 namespace econcast::fabric {
 
 namespace fs = std::filesystem;
 namespace json = util::json;
-
-namespace {
-
-std::uint64_t expected_seed(const runner::SweepManifest& manifest,
-                            const runner::Scenario& cell,
-                            std::size_t global_index) {
-  // Mirrors SweepSession::cell_seed — the derivation every record carries.
-  return manifest.reseed
-             ? runner::derive_seed(manifest.base_seed, global_index)
-             : protocol::effective_seed(cell.protocol);
-}
-
-}  // namespace
 
 Merger::Report Merger::merge(const std::string& manifest_path,
                              std::string merged_path) {
@@ -40,9 +26,11 @@ Merger::Report Merger::merge(const std::string& manifest_path,
                              std::string merged_path) {
   const runner::SweepManifest manifest = runner::load_manifest(manifest_path);
   const std::vector<runner::Scenario> batch = manifest.spec.expand();
-  const ShardPlan plan(batch.size(), shard_count);
+  // Workers run the pinned bounds, which a cost-balanced plan makes uneven;
+  // the equal split applies only when no plan is pinned.
+  ShardPlan plan(batch.size(), shard_count);
   if (plan_exists(manifest_path)) {
-    const ShardPlan pinned = load_plan(manifest_path);
+    ShardPlan pinned = load_plan(manifest_path);
     if (pinned.total_cells() != plan.total_cells() ||
         pinned.shard_count() != plan.shard_count())
       throw std::runtime_error(
@@ -51,6 +39,7 @@ Merger::Report Merger::merge(const std::string& manifest_path,
           std::to_string(pinned.shard_count()) + " shards; cannot merge as " +
           std::to_string(plan.total_cells()) + " cells / " +
           std::to_string(plan.shard_count()) + " shards");
+    plan = std::move(pinned);
   }
 
   Report report;
@@ -104,7 +93,8 @@ Merger::Report Merger::merge(const std::string& manifest_path,
       const std::uint64_t recorded_seed =
           json::u64_from_string(record.at("seed").as_string());
       if (recorded_index != global || recorded_name != batch[global].name ||
-          recorded_seed != expected_seed(manifest, batch[global], global))
+          recorded_seed !=
+              runner::manifest_cell_seed(manifest, batch[global], global))
         throw std::runtime_error(
             "shard results '" + path + "' line " + std::to_string(local + 1) +
             " does not match sweep '" + manifest.spec.name() + "' cell " +

@@ -35,9 +35,10 @@ class Merger {
   static Report merge(const std::string& manifest_path,
                       std::string merged_path = {});
 
-  /// Same, with an explicit shard count instead of a pinned plan.json (the
-  /// standalone `econcast_sweep --merge` path validates the two agree when
-  /// both exist).
+  /// Same, with an explicit shard count (the standalone `econcast_sweep
+  /// --merge --shards K` path). When plan.json exists it must pin this
+  /// count and its bounds give the ranges; otherwise the ranges are the
+  /// equal split.
   static Report merge(const std::string& manifest_path,
                       std::size_t shard_count, std::string merged_path);
 };

@@ -5,18 +5,15 @@
 
 namespace econcast::sim {
 
-Channel::Channel(const model::Topology& topology, Arena* arena)
+Channel::Channel(const model::Topology& topology)
     : topo_(topology),
-      listening_(topology.size(), 0, ArenaAllocator<std::uint8_t>(arena)),
-      transmitting_(topology.size(), 0, ArenaAllocator<std::uint8_t>(arena)),
-      busy_count_(topology.size(), 0, ArenaAllocator<std::uint32_t>(arena)),
-      listen_count_(topology.size(), 0, ArenaAllocator<std::uint32_t>(arena)),
-      lock_tx_(topology.size(), kNoNode, ArenaAllocator<NodeId>(arena)),
-      corrupt_(topology.size(), 0, ArenaAllocator<std::uint8_t>(arena)),
-      toggled_flag_(topology.size(), 0, ArenaAllocator<std::uint8_t>(arena)),
-      toggled_(ArenaAllocator<NodeId>(arena)),
-      drained_(ArenaAllocator<NodeId>(arena)),
-      outcome_(arena) {
+      listening_(topology.size(), 0),
+      transmitting_(topology.size(), 0),
+      busy_count_(topology.size(), 0),
+      listen_count_(topology.size(), 0),
+      lock_tx_(topology.size(), kNoNode),
+      corrupt_(topology.size(), 0),
+      toggled_flag_(topology.size(), 0) {
   // The toggle set and the packet outcome are bounded by the node count and
   // the max degree; sizing them up front keeps the hot loop allocation-free.
   toggled_.reserve(topology.size());
@@ -119,7 +116,7 @@ bool Channel::is_transmitting(NodeId node) const {
   return transmitting_[node] != 0;
 }
 
-const ArenaVector<NodeId>& Channel::drain_toggled() {
+const std::vector<NodeId>& Channel::drain_toggled() {
   for (const NodeId n : toggled_) toggled_flag_[n] = 0;
   drained_.swap(toggled_);
   toggled_.clear();

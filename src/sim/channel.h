@@ -11,23 +11,23 @@
 // in O(1). A randomized differential test checks it against an O(degree)
 // scan of the neighbors' listen bits after every operation.
 //
-// All per-node storage can be placed in a caller-owned Arena; the channel
-// then allocates nothing after construction (the toggle drain and the packet
-// outcome refill reusable buffers).
+// The channel allocates nothing after construction: the toggle drain and
+// the packet outcome refill buffers sized up front for the node count and
+// the max degree.
 #ifndef ECONCAST_SIM_CHANNEL_H
 #define ECONCAST_SIM_CHANNEL_H
 
 #include <cstdint>
+#include <vector>
 
 #include "model/network.h"
-#include "sim/arena.h"
 #include "sim/node_id.h"
 
 namespace econcast::sim {
 
 class Channel {
  public:
-  explicit Channel(const model::Topology& topology, Arena* arena = nullptr);
+  explicit Channel(const model::Topology& topology);
 
   // --- listen-state notifications (from the protocol layer) -------------
   /// Must only be called while the node senses an idle medium (the protocol
@@ -46,12 +46,8 @@ class Channel {
   void begin_packet(NodeId tx);
 
   struct PacketOutcome {
-    ArenaVector<NodeId> clean_receivers;  // got the whole packet, no overlap
+    std::vector<NodeId> clean_receivers;  // got the whole packet, no overlap
     std::uint32_t corrupted = 0;          // receptions voided by overlap
-
-    PacketOutcome() = default;
-    explicit PacketOutcome(Arena* arena)
-        : clean_receivers(ArenaAllocator<NodeId>(arena)) {}
   };
 
   /// Ends the current packet of `tx`, returning who received it cleanly.
@@ -76,7 +72,7 @@ class Channel {
   /// Nodes whose carrier-sense state toggled since the last drain (each at
   /// most once). The protocol re-samples these nodes' transitions. The
   /// returned buffer is reused: it stays valid until the next drain.
-  const ArenaVector<NodeId>& drain_toggled();
+  const std::vector<NodeId>& drain_toggled();
 
  private:
   void mark_toggled(NodeId node);
@@ -86,15 +82,15 @@ class Channel {
   void apply_listen_change(NodeId node, bool listening);
 
   const model::Topology& topo_;
-  ArenaVector<std::uint8_t> listening_;
-  ArenaVector<std::uint8_t> transmitting_;
-  ArenaVector<std::uint32_t> busy_count_;    // transmitting neighbors
-  ArenaVector<std::uint32_t> listen_count_;  // listening neighbors
-  ArenaVector<NodeId> lock_tx_;  // which tx this listener decodes (kNoNode none)
-  ArenaVector<std::uint8_t> corrupt_;  // current reception overlapped
-  ArenaVector<std::uint8_t> toggled_flag_;
-  ArenaVector<NodeId> toggled_;
-  ArenaVector<NodeId> drained_;  // scratch handed out by drain_toggled()
+  std::vector<std::uint8_t> listening_;
+  std::vector<std::uint8_t> transmitting_;
+  std::vector<std::uint32_t> busy_count_;    // transmitting neighbors
+  std::vector<std::uint32_t> listen_count_;  // listening neighbors
+  std::vector<NodeId> lock_tx_;  // which tx this listener decodes (kNoNode none)
+  std::vector<std::uint8_t> corrupt_;  // current reception overlapped
+  std::vector<std::uint8_t> toggled_flag_;
+  std::vector<NodeId> toggled_;
+  std::vector<NodeId> drained_;  // scratch handed out by drain_toggled()
   PacketOutcome outcome_;        // scratch handed out by end_packet()
   int active_tx_ = 0;
 };

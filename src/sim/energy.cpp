@@ -2,13 +2,6 @@
 
 namespace econcast::sim {
 
-EnergyLedger::EnergyLedger(Arena* arena)
-    : harvest_(ArenaAllocator<double>(arena)),
-      draw_(ArenaAllocator<double>(arena)),
-      level_(ArenaAllocator<double>(arena)),
-      consumed_(ArenaAllocator<double>(arena)),
-      last_(ArenaAllocator<double>(arena)) {}
-
 void EnergyLedger::reserve(std::size_t n) {
   harvest_.reserve(n);
   draw_.reserve(n);

@@ -5,19 +5,17 @@
 #define ECONCAST_SIM_ENERGY_H
 
 #include <cstddef>
-
-#include "sim/arena.h"
+#include <vector>
 
 namespace econcast::sim {
 
 /// Energy storage for a whole node population, struct-of-arrays: the
-/// per-node balances live in parallel (optionally arena-backed) arrays, so
-/// the simulation inner loops touch one dense double per node instead of
-/// one scattered struct per node. Each slot settles at its change points.
+/// per-node balances live in parallel arrays, so the simulation inner loops
+/// touch one dense double per node instead of one scattered struct per
+/// node. `reserve` sizes them up front. Each slot settles at its change
+/// points.
 class EnergyLedger {
  public:
-  explicit EnergyLedger(Arena* arena = nullptr);
-
   void reserve(std::size_t n);
   /// Appends a node; returns its index.
   std::size_t add(double harvest_rate, double initial_level);
@@ -37,11 +35,11 @@ class EnergyLedger {
   double draw(std::size_t i) const noexcept { return draw_[i]; }
 
  private:
-  ArenaVector<double> harvest_;
-  ArenaVector<double> draw_;
-  ArenaVector<double> level_;
-  ArenaVector<double> consumed_;
-  ArenaVector<double> last_;
+  std::vector<double> harvest_;
+  std::vector<double> draw_;
+  std::vector<double> level_;
+  std::vector<double> consumed_;
+  std::vector<double> last_;
 };
 
 }  // namespace econcast::sim

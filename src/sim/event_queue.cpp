@@ -6,10 +6,6 @@
 
 namespace econcast::sim {
 
-EventQueue::EventQueue(Arena* arena)
-    : heap_(ArenaAllocator<Event>(arena)),
-      position_(ArenaAllocator<std::size_t>(arena)) {}
-
 void EventQueue::reserve_for_nodes(std::size_t n) {
   heap_.reserve(capacity_for_nodes(n));
   if (position_.size() < n * kEventKindCount)
@@ -66,8 +62,7 @@ std::size_t EventQueue::earliest_lane() const noexcept {
 
 void EventQueue::grow(Lane& lane) {
   const std::size_t capacity = lane.ring.size();
-  ArenaVector<Event> ring(capacity == 0 ? kFirstLaneCapacity : 2 * capacity,
-                          Event{}, heap_.get_allocator());
+  std::vector<Event> ring(capacity == 0 ? kFirstLaneCapacity : 2 * capacity);
   for (std::size_t k = 0; k < lane.count; ++k)
     ring[k] = lane.ring[(lane.head + k) & (capacity - 1)];
   lane.ring = std::move(ring);

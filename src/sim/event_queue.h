@@ -1,9 +1,9 @@
 // Future-event list for the continuous-time simulators: an addressable
 // 4-ary heap plus one FIFO lane per event kind, all over reservable
-// (optionally arena-backed) storage, popping in the strict total order
-// (time, seq) — seq is assigned at every push and (re)schedule, so
-// simultaneous events pop first-in first-out. Because no two events share
-// a seq, that order fixes the pop sequence whatever the heap's shape.
+// std::vector storage, popping in the strict total order (time, seq) — seq
+// is assigned at every push and (re)schedule, so simultaneous events pop
+// first-in first-out. Because no two events share a seq, that order fixes
+// the pop sequence whatever the heap's shape.
 //
 // Cancellation is owned by the queue. `schedule()` enters a *cancellable*
 // event in its (node, kind) slot, and every slot knows the heap position of
@@ -38,8 +38,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
-#include "sim/arena.h"
 #include "sim/node_id.h"
 
 namespace econcast::sim {
@@ -85,11 +85,6 @@ struct QueueStats {
 
 class EventQueue {
  public:
-  /// With an arena, the heap, the lanes and the position index are
-  /// arena-backed (the arena must outlive the queue and any queue
-  /// moved-from it).
-  explicit EventQueue(Arena* arena = nullptr);
-
   /// The shared capacity policy for simulators whose live event count is
   /// bounded by a few events per node (pending transition, interval end,
   /// the packet on the air, energy-guard wakeups, a warmup snapshot).
@@ -134,7 +129,7 @@ class EventQueue {
 
   /// A FIFO ring of durable events of one kind, sorted on (time, seq).
   struct Lane {
-    ArenaVector<Event> ring;  // capacity ring.size(): 0 or a power of two
+    std::vector<Event> ring;  // capacity ring.size(): 0 or a power of two
     std::size_t head = 0;
     std::size_t count = 0;
 
@@ -162,8 +157,8 @@ class EventQueue {
   void grow(Lane& lane);
   void note_push();
 
-  ArenaVector<Event> heap_;               // 4-ary min-heap on EventLater
-  ArenaVector<std::size_t> position_;     // node-major, kEventKindCount wide:
+  std::vector<Event> heap_;               // 4-ary min-heap on EventLater
+  std::vector<std::size_t> position_;     // node-major, kEventKindCount wide:
                                           // heap index or kNoPosition
   Lane lanes_[kEventKindCount];           // durable pushes, per kind
   std::size_t lane_events_ = 0;           // summed lane counts

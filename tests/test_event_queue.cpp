@@ -249,9 +249,14 @@ class DifferentialHarness {
   /// returns the popped time.
   double pop() { return pop_event().time; }
 
-  /// pop(), returning the whole event.
+  /// pop(), returning the whole event. When either side is empty it records
+  /// a failure and pops neither.
   Event pop_event() {
-    EXPECT_FALSE(empty());
+    if (queue_.empty() || model_.empty()) {
+      ADD_FAILURE() << "pop with " << queue_.size() << " queued and "
+                    << model_.size() << " modelled events";
+      return Event{};
+    }
     const Event a = queue_.pop();
     const Event b = model_.begin()->second;
     model_.erase(model_.begin());
@@ -268,8 +273,10 @@ class DifferentialHarness {
     return e;
   }
 
+  /// Pops until empty, stopping at the first failure.
   void drain_and_compare() {
-    while (!empty()) pop();
+    while (!::testing::Test::HasFailure() && !empty()) pop();
+    if (::testing::Test::HasFailure()) return;
     EXPECT_EQ(queue_.stats().pushes, next_seq_);
     EXPECT_EQ(queue_.stats().pops, pops_);
     // Drained: every entered event was either handed out or cancelled.
@@ -334,6 +341,7 @@ TEST(EventQueueDifferential, SimLikeMonotoneWorkload) {
     const std::uint32_t n = 40;
     double now = 0.0;
     for (int op = 0; op < 20000; ++op) {
+      if (::testing::Test::HasFailure()) return;
       const double r = rng.uniform();
       const auto node = static_cast<std::uint32_t>(rng.uniform() * n);
       // Mixed-scale gaps: 1e-3 .. 1e5.
@@ -362,6 +370,7 @@ TEST(EventQueueDifferential, AdversarialOutOfOrderPushes) {
     DifferentialHarness q;
     const std::uint32_t n = 12;
     for (int op = 0; op < 8000; ++op) {
+      if (::testing::Test::HasFailure()) return;
       const double r = rng.uniform();
       const auto node = static_cast<std::uint32_t>(rng.uniform() * n);
       // Absolute times in [0, 100), ignoring pop progress; coarse grid so
@@ -385,6 +394,7 @@ TEST(EventQueueDifferential, AdversarialOutOfOrderPushes) {
 TEST(EventQueueDifferential, BurstsOfSimultaneousSchedules) {
   DifferentialHarness q;
   for (int round = 0; round < 50; ++round) {
+    if (::testing::Test::HasFailure()) return;
     const double t = static_cast<double>(round);
     for (std::uint32_t i = 0; i < 64; ++i)
       q.schedule(t + 0.5, EventKind::kTransition, i);

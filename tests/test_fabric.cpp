@@ -455,6 +455,33 @@ TEST(Fabric, WorkersAndMergerReproduceSingleProcessBytes) {
   EXPECT_EQ(outcome.ran, 0u);
 }
 
+TEST(Fabric, MergerFollowsPinnedUnevenBounds) {
+  // A cost-balanced plan pins uneven bounds and the workers run them, so
+  // both merge entry points must take each shard's range from plan.json.
+  const fs::path dir = test_dir();
+  const runner::SweepManifest manifest = small_manifest();
+  const std::string manifest_path = write_spool_manifest(dir, manifest);
+
+  runner::SweepSession single(manifest, (dir / "single.jsonl").string());
+  single.run();
+
+  const std::vector<std::size_t> bounds = {0, 5, 11, 16};
+  fabric::pin_plan(manifest_path, fabric::ShardPlan(16, bounds));
+  for (std::size_t i = 0; i < 3; ++i) {
+    const fabric::Worker::Outcome outcome =
+        fabric::Worker(manifest_path, i, 3).run();
+    EXPECT_EQ(outcome.shard_cells, bounds[i + 1] - bounds[i]);
+    EXPECT_TRUE(outcome.shard_complete);
+  }
+  const fabric::Merger::Report report = fabric::Merger::merge(manifest_path);
+  EXPECT_EQ(report.cells, 16u);
+  EXPECT_EQ(slurp(report.merged_path), slurp(dir / "single.jsonl"));
+
+  const std::string explicit_path = (dir / "explicit.jsonl").string();
+  EXPECT_EQ(fabric::Merger::merge(manifest_path, 3, explicit_path).cells, 16u);
+  EXPECT_EQ(slurp(explicit_path), slurp(dir / "single.jsonl"));
+}
+
 TEST(Fabric, WorkerRespectsRivalClaimAndHeartbeats) {
   const fs::path dir = test_dir();
   const std::string manifest_path =

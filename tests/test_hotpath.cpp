@@ -1,8 +1,8 @@
-// Tests for the simulation hot path: the scenario arena and its allocator,
-// the incremental listener counts (randomized differential test against an
-// O(degree) scan written here), the memoized rate rows (bit-identical to the
-// per-call rate expressions, full-width and narrowed), and the estimator
-// validation sweep.
+// Tests for the simulation hot path: the incremental listener counts
+// (randomized differential test against an O(degree) scan written here) and
+// the channel's reused scratch buffers, the memoized rate rows
+// (bit-identical to the per-call rate expressions, full-width and
+// narrowed), and the estimator validation sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "econcast/estimator.h"
 #include "econcast/rates.h"
 #include "model/network.h"
-#include "sim/arena.h"
 #include "sim/channel.h"
 #include "util/random.h"
 
@@ -24,50 +23,6 @@ namespace {
 
 using namespace econcast;
 using namespace econcast::sim;
-
-// ----------------------------------------------------------------- arena --
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  Arena arena;
-  const void* a = arena.allocate(3, 1);
-  const void* b = arena.allocate(8, 8);
-  const void* c = arena.allocate(100, 64);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 64, 0u);
-  EXPECT_NE(a, b);
-  EXPECT_NE(b, c);
-}
-
-TEST(Arena, GrowsAcrossChunksAndCountsStats) {
-  Arena arena;
-  // Larger than the first chunk: forces at least one growth.
-  for (int i = 0; i < 8; ++i) (void)arena.allocate(1 << 15, 8);
-  const Arena::Stats stats = arena.stats();
-  EXPECT_GE(stats.bytes_allocated, 8u * (1u << 15));
-  EXPECT_GE(stats.bytes_reserved, stats.bytes_allocated);
-  EXPECT_GE(stats.chunks, 2u);
-}
-
-TEST(Arena, VectorsUseArenaMemoryAndHeapFallback) {
-  Arena arena;
-  ArenaVector<int> v{ArenaAllocator<int>(&arena)};
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  EXPECT_EQ(v.size(), 1000u);
-  EXPECT_EQ(v[999], 999);
-  EXPECT_GT(arena.stats().bytes_allocated, 0u);
-
-  // Default-constructed allocator: plain heap, usable without any arena.
-  ArenaVector<int> heap;
-  for (int i = 0; i < 1000; ++i) heap.push_back(i);
-  EXPECT_EQ(heap, v);
-
-  // Allocators compare by arena identity (is_always_equal is false).
-  EXPECT_FALSE(ArenaAllocator<int>(&arena) == ArenaAllocator<int>());
-  EXPECT_TRUE(ArenaAllocator<int>(&arena) == ArenaAllocator<int>(&arena));
-}
 
 // ----------------------------------------- differential channel coverage --
 
@@ -89,8 +44,7 @@ TEST(ChannelDifferential, RandomScheduleMatchesScan) {
     const std::size_t n = 6 + static_cast<std::size_t>(round) * 5;
     const auto topo = model::Topology::random_gnp(n, 0.3, topo_rng);
 
-    Arena arena;
-    Channel ch(topo, &arena);
+    Channel ch(topo);
     util::Rng rng(1000 + static_cast<std::uint64_t>(round));
     NodeId tx_active = kNoNode;
     bool packet_open = false;
@@ -137,23 +91,29 @@ TEST(ChannelDifferential, RandomScheduleMatchesScan) {
 }
 
 TEST(ChannelDifferential, ScratchBuffersAreReusedNotReallocated) {
+  // The scratch is sized up front: the toggle drain alternates between two
+  // buffers and the packet outcome refills one, so no steady-state round of
+  // bursts, packets and drains moves either.
   const auto topo = model::Topology::clique(8);
-  Arena arena;
-  Channel ch(topo, &arena);
-  for (NodeId i = 1; i < 8; ++i) ch.set_listening(i, true);
-  (void)ch.drain_toggled();
-  const Arena::Stats before = arena.stats();
-  // Steady state: bursts, packets and drains must not grow the arena.
+  Channel ch(topo);
+  ch.begin_burst(0);
+  ch.begin_packet(0);
+  const NodeId* receivers = ch.end_packet(0).clean_receivers.data();
+  ch.end_burst(0);
+  const NodeId* drained[2] = {ch.drain_toggled().data(),
+                              ch.drain_toggled().data()};
   for (int k = 0; k < 50; ++k) {
+    for (NodeId i = 1; i < 8; ++i) ch.set_listening(i, true);
     ch.begin_burst(0);
     ch.begin_packet(0);
     const Channel::PacketOutcome& outcome = ch.end_packet(0);
     EXPECT_EQ(outcome.clean_receivers.size(), 7u);
+    EXPECT_EQ(outcome.clean_receivers.data(), receivers);
     ch.end_burst(0);
-    for (NodeId i = 1; i < 8; ++i) ch.set_listening(i, true);
-    (void)ch.drain_toggled();
+    const std::vector<NodeId>& toggled = ch.drain_toggled();
+    EXPECT_EQ(toggled.size(), 7u);
+    EXPECT_EQ(toggled.data(), drained[k % 2]);
   }
-  EXPECT_EQ(arena.stats().bytes_allocated, before.bytes_allocated);
 }
 
 // --------------------------------------------------------- rate-row memo --

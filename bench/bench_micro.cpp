@@ -90,11 +90,9 @@ BENCHMARK(BM_P4SolveSymmetric)->Arg(5)->Arg(10)->Arg(100);
 void BM_P4SolveAccelerated(benchmark::State& state) {
   const auto nodes = model::homogeneous(
       static_cast<std::size_t>(state.range(0)), 10.0, 500.0, 500.0);
-  gibbs::P4Options opt;
-  opt.method = gibbs::P4Method::kAccelerated;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gibbs::solve_p4(nodes, model::Mode::kGroupput, 0.25, opt));
+    benchmark::DoNotOptimize(gibbs::solve_p4(
+        gibbs::ExactGibbs(nodes, model::Mode::kGroupput, 0.25)));
   }
 }
 BENCHMARK(BM_P4SolveAccelerated)->Arg(5)->Arg(8);

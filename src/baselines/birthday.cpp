@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/random.h"
-
 namespace econcast::baselines {
 
 double birthday_throughput(std::size_t n, double p_transmit, double p_listen,
@@ -76,37 +74,6 @@ BirthdayDesign optimize_birthday(std::size_t n, double budget,
   design.throughput =
       birthday_throughput(n, design.p_transmit, design.p_listen, mode);
   return design;
-}
-
-BirthdaySimDetail simulate_birthday_detailed(std::size_t n, double p_transmit,
-                                             double p_listen,
-                                             std::uint64_t slots,
-                                             std::uint64_t seed) {
-  util::Rng rng(seed);
-  BirthdaySimDetail detail;
-  detail.slots = slots;
-  detail.listen_slots.assign(n, 0);
-  detail.transmit_slots.assign(n, 0);
-  for (std::uint64_t s = 0; s < slots; ++s) {
-    int transmitters = 0;
-    int listeners = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double u = rng.uniform();
-      if (u < p_transmit) {
-        ++transmitters;
-        ++detail.transmit_slots[i];
-      } else if (u < p_transmit + p_listen) {
-        ++listeners;
-        ++detail.listen_slots[i];
-      }
-    }
-    if (transmitters == 1) {
-      ++detail.packets;
-      detail.groupput_credit += static_cast<double>(listeners);
-      detail.anyput_credit += listeners > 0 ? 1.0 : 0.0;
-    }
-  }
-  return detail;
 }
 
 }  // namespace econcast::baselines

@@ -10,14 +10,14 @@
 //
 // under the per-slot power budget p_l L + p_x X <= ρ and p_l + p_x <= 1.
 // Birthday (like Panda, unlike EconCast) requires homogeneous nodes and
-// knowledge of N to tune (p_x, p_l).
+// knowledge of N to tune (p_x, p_l). A slotted Monte-Carlo simulator of the
+// protocol lives in tests/test_baselines.cpp, where it cross-checks the
+// closed form.
 #ifndef ECONCAST_BASELINES_BIRTHDAY_H
 #define ECONCAST_BASELINES_BIRTHDAY_H
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
-#include "model/node_params.h"
 #include "model/state_space.h"
 
 namespace econcast::baselines {
@@ -38,25 +38,6 @@ double birthday_throughput(std::size_t n, double p_transmit, double p_listen,
 BirthdayDesign optimize_birthday(std::size_t n, double budget,
                                  double listen_power, double transmit_power,
                                  model::Mode mode);
-
-/// Full accounting of one slotted Birthday run — the payload protocol::run
-/// maps onto the unified SimResult. Both
-/// throughput modes are tallied from the same slot draws.
-struct BirthdaySimDetail {
-  std::uint64_t slots = 0;
-  double groupput_credit = 0.0;  // Σ listeners over singleton-transmitter slots
-  double anyput_credit = 0.0;    // singleton slots with >= 1 listener
-  std::uint64_t packets = 0;     // singleton-transmitter slots
-  std::vector<std::uint64_t> listen_slots;    // per node
-  std::vector<std::uint64_t> transmit_slots;  // per node
-};
-
-/// Monte-Carlo slotted simulation of the protocol (cross-check of the closed
-/// form). One uniform draw per node per slot, in node order.
-BirthdaySimDetail simulate_birthday_detailed(std::size_t n, double p_transmit,
-                                             double p_listen,
-                                             std::uint64_t slots,
-                                             std::uint64_t seed);
 
 }  // namespace econcast::baselines
 

@@ -1,12 +1,7 @@
 #include "baselines/panda.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
-
-#include "sim/event_queue.h"
-#include "util/random.h"
 
 namespace econcast::baselines {
 
@@ -99,84 +94,6 @@ PandaDesign optimize_panda(std::size_t n, double budget, double listen_power,
   best.power = panda_power(n, best.wake_rate, best.listen_window, listen_power,
                            transmit_power);
   return best;
-}
-
-PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
-                                       double listen_window, double duration,
-                                       std::uint64_t seed) {
-  if (n < 2 || wake_rate <= 0.0 || listen_window <= 0.0)
-    throw std::invalid_argument("panda sim: bad parameters");
-  using sim::EventKind;
-  util::Rng rng(seed);
-  enum class S : std::uint8_t { kSleep, kListen, kTransmit };
-  std::vector<S> state(n, S::kSleep);
-  std::vector<std::uint8_t> locked(n, 0);  // receiving the current packet
-  std::vector<double> state_since(n, 0.0);
-  std::vector<double> listen_time(n, 0.0), transmit_time(n, 0.0);
-  int transmitter = -1;
-
-  // A node has at most one pending timer in its kTransition slot: the
-  // wake-up while asleep, the window expiry while listening. Scheduling the
-  // next wake-up therefore replaces a pending expiry.
-  sim::EventQueue q;
-  q.reserve_for_nodes(n);
-  double now = 0.0;
-  auto schedule_wake = [&](std::size_t i) {
-    q.schedule(now + rng.exponential(wake_rate), EventKind::kTransition,
-               static_cast<sim::NodeId>(i));
-  };
-  for (std::size_t i = 0; i < n; ++i) schedule_wake(i);
-
-  PandaSimDetail result;
-  result.duration = duration;
-  auto set_state = [&](std::size_t i, S next) {
-    const double dt = now - state_since[i];
-    if (state[i] == S::kListen) listen_time[i] += dt;
-    if (state[i] == S::kTransmit) transmit_time[i] += dt;
-    state[i] = next;
-    state_since[i] = now;
-  };
-
-  while (!q.empty() && q.top().time <= duration) {
-    const sim::Event e = q.pop();
-    now = e.time;
-    const std::size_t i = e.node;
-    if (e.kind == EventKind::kPacketEnd) {
-      transmitter = -1;
-      bool delivered = false;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (locked[j]) {
-          locked[j] = 0;
-          ++result.receptions;
-          delivered = true;
-          set_state(j, S::kSleep);
-          schedule_wake(j);
-        }
-      }
-      if (delivered) ++result.packets_received_any;
-      set_state(i, S::kSleep);
-      schedule_wake(i);
-    } else if (state[i] == S::kSleep) {  // wake-up
-      set_state(i, S::kListen);
-      q.schedule(now + listen_window, EventKind::kTransition, e.node);
-    } else if (transmitter >= 0) {  // window expired mid-packet
-      // Woke into an ongoing packet it cannot decode: abort and sleep.
-      set_state(i, S::kSleep);
-      schedule_wake(i);
-    } else {  // window expired on an idle channel
-      set_state(i, S::kTransmit);
-      transmitter = static_cast<int>(i);
-      ++result.packets;
-      for (std::size_t j = 0; j < n; ++j)
-        if (state[j] == S::kListen) locked[j] = 1;  // hears packet start
-      q.push(now + 1.0, EventKind::kPacketEnd, e.node);
-    }
-  }
-  now = duration;
-  for (std::size_t i = 0; i < n; ++i) set_state(i, state[i]);  // close interval
-  result.listen_time = std::move(listen_time);
-  result.transmit_time = std::move(transmit_time);
-  return result;
 }
 
 }  // namespace econcast::baselines

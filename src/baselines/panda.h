@@ -16,12 +16,12 @@
 //   E = (1/N)(wL + X) + ((N-1)/N)[(1-e^{-λw})(w/2+1)L + e^{-λw}(1-e^{-λ})wL].
 // We optimize both λ and w under P = E/E[C] <= ρ, which upper-bounds the
 // published protocol (the paper itself compares against Panda's *analytical*
-// throughput, §VIII-D). An event-driven simulator cross-checks the model.
+// throughput, §VIII-D). An event-driven simulator of the protocol lives in
+// tests/test_baselines.cpp, where it cross-checks the model.
 #ifndef ECONCAST_BASELINES_PANDA_H
 #define ECONCAST_BASELINES_PANDA_H
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 namespace econcast::baselines {
 
@@ -40,24 +40,6 @@ double panda_power(std::size_t n, double wake_rate, double listen_window,
 /// Maximizes the analytical groupput over (λ, w) subject to power <= ρ.
 PandaDesign optimize_panda(std::size_t n, double budget, double listen_power,
                            double transmit_power);
-
-/// Full per-node accounting of one event-driven Panda run — the payload
-/// protocol::run maps onto the unified SimResult.
-struct PandaSimDetail {
-  double duration = 0.0;
-  std::uint64_t packets = 0;      // transmissions
-  std::uint64_t receptions = 0;   // (packet, receiver) deliveries
-  std::uint64_t packets_received_any = 0;  // packets with >= 1 receiver
-  std::vector<double> listen_time;    // per node
-  std::vector<double> transmit_time;  // per node
-};
-
-/// Event-driven simulation of the protocol at fixed (λ, w). Deterministic
-/// per seed (project Rng); powers are not needed during the run — energy is
-/// an after-the-fact integral of the per-node state times.
-PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
-                                       double listen_window, double duration,
-                                       std::uint64_t seed);
 
 }  // namespace econcast::baselines
 

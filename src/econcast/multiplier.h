@@ -36,9 +36,6 @@ class MultiplierTracker {
 
   std::size_t intervals_completed() const noexcept { return k_ - 1; }
 
-  /// Overrides the multiplier (e.g. warm-start at the analytic η*).
-  void set_eta(double eta) noexcept { eta_ = eta < 0.0 ? 0.0 : eta; }
-
  private:
   double step_over_interval() const noexcept;  // δ_k / τ_k
 

@@ -83,13 +83,13 @@ ShardClaim load_claim(const std::string& path) {
     if (v.at("format").as_string() != "econcast-shard-claim")
       throw json::Error("unexpected format");
     ShardClaim claim;
-    claim.shard = static_cast<std::size_t>(v.at("shard").as_number());
-    claim.shard_count = static_cast<std::size_t>(v.at("shards").as_number());
+    claim.shard = json::size_from_json(v.at("shard"), "shard");
+    claim.shard_count = json::size_from_json(v.at("shards"), "shards");
     claim.worker = v.at("worker").as_string();
-    claim.claimed_at =
-        static_cast<std::int64_t>(v.at("claimed_at").as_number());
-    claim.heartbeat_at =
-        static_cast<std::int64_t>(v.at("heartbeat_at").as_number());
+    claim.claimed_at = static_cast<std::int64_t>(
+        json::size_from_json(v.at("claimed_at"), "claimed_at"));
+    claim.heartbeat_at = static_cast<std::int64_t>(
+        json::size_from_json(v.at("heartbeat_at"), "heartbeat_at"));
     claim.cells_done = json::u64_from_string(v.at("cells_done").as_string());
     return claim;
   } catch (const json::Error& e) {

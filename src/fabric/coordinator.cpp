@@ -49,8 +49,18 @@ std::vector<Coordinator::SweepStatus> Coordinator::pass() {
   std::vector<SweepStatus> statuses;
   statuses.reserve(manifests.size());
   std::optional<runner::CostModel> model;
-  for (const std::string& path : manifests)
-    statuses.push_back(pass_manifest(path, model));
+  // A manifest that cannot advance must not starve the ones sorted after
+  // it: every manifest gets its turn, then the first failure is rethrown.
+  std::string first_failure;
+  for (const std::string& path : manifests) {
+    try {
+      statuses.push_back(pass_manifest(path, model));
+    } catch (const std::exception& e) {
+      if (first_failure.empty())
+        first_failure = "manifest '" + path + "': " + e.what();
+    }
+  }
+  if (!first_failure.empty()) throw std::runtime_error(first_failure);
   return statuses;
 }
 

@@ -70,8 +70,9 @@ class Coordinator {
 
   /// One scan over the spool (manifests in lexicographic order, so passes
   /// are deterministic). Throws std::runtime_error when the spool directory
-  /// is missing; a broken manifest makes the pass throw after healthy
-  /// manifests were still advanced.
+  /// is missing. A manifest that fails (unreadable, unmergeable, ...) does
+  /// not stop the pass: every other manifest is still advanced, then the
+  /// pass throws std::runtime_error naming the first failed manifest.
   std::vector<SweepStatus> pass();
 
  private:

@@ -160,26 +160,19 @@ ShardPlan load_plan(const std::string& manifest_path) {
     if (v.at("format").as_string() != "econcast-shard-plan")
       throw json::Error("unexpected format '" + v.at("format").as_string() +
                         "'");
-    const double total = v.at("total_cells").as_number();
-    const double shards = v.at("shards").as_number();
-    if (total < 0 || shards < 1 ||
-        total != static_cast<double>(static_cast<std::size_t>(total)) ||
-        shards != static_cast<double>(static_cast<std::size_t>(shards)))
-      throw json::Error("total_cells/shards must be non-negative integers");
-    const auto total_cells = static_cast<std::size_t>(total);
-    const auto shard_count = static_cast<std::size_t>(shards);
+    const std::size_t total_cells =
+        json::size_from_json(v.at("total_cells"), "total_cells");
+    const std::size_t shard_count =
+        json::size_from_json(v.at("shards"), "shards");
+    if (shard_count == 0) throw json::Error("shards must be at least 1");
     if (const json::Value* bounds_value = v.find("bounds")) {
       const json::Array& array = bounds_value->as_array();
       if (array.size() != shard_count + 1)
         throw json::Error("bounds must have shards+1 entries");
       std::vector<std::size_t> bounds;
       bounds.reserve(array.size());
-      for (const json::Value& b : array) {
-        const double d = b.as_number();
-        if (d < 0 || d != static_cast<double>(static_cast<std::size_t>(d)))
-          throw json::Error("bounds must be non-negative integers");
-        bounds.push_back(static_cast<std::size_t>(d));
-      }
+      for (const json::Value& b : array)
+        bounds.push_back(json::size_from_json(b, "bound"));
       try {
         return ShardPlan(total_cells, std::move(bounds));
       } catch (const std::invalid_argument& e) {

@@ -12,6 +12,12 @@ namespace econcast::gibbs {
 
 namespace {
 
+/// Relative KKT tolerance: max_i |power_i - ρ_i| / ρ_i on active
+/// multipliers and max_i (power_i - ρ_i)+ / ρ_i overall.
+constexpr double kTolerance = 1e-8;
+/// Iteration cap of the accelerated method.
+constexpr std::size_t kMaxIterations = 50000;
+
 // Relative KKT residual of the dual iterate: budget violations everywhere,
 // complementary slackness where η_i is active.
 double kkt_residual(const model::NodeSet& nodes,
@@ -28,7 +34,7 @@ double kkt_residual(const model::NodeSet& nodes,
 }
 
 // The result at the last iterate: `m` holds the marginals of `eval`, which
-// both loops have already computed there.
+// the loop has already computed there.
 P4Result finalize(const ExactGibbs& gibbs, GibbsEvaluation& eval,
                   const Marginals& m, std::size_t iters, bool converged) {
   P4Result out;
@@ -43,30 +49,7 @@ P4Result finalize(const ExactGibbs& gibbs, GibbsEvaluation& eval,
   return out;
 }
 
-P4Result solve_algorithm1(const ExactGibbs& gibbs, const P4Options& opt) {
-  const std::size_t n = gibbs.num_nodes();
-  const model::NodeSet& nodes = gibbs.nodes();
-  GibbsEvaluation eval;
-  eval.eta.assign(n, 0.0);
-  for (std::size_t k = 1; k <= opt.max_iterations; ++k) {
-    gibbs.evaluate(eval.eta, eval);
-    const Marginals m = gibbs.marginals(eval);
-    if (kkt_residual(nodes, eval.eta, m) < opt.tolerance)
-      return finalize(gibbs, eval, m, k, true);
-    const double delta = opt.delta0 / static_cast<double>(k);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double grad = nodes[i].budget -
-                          (m.alpha[i] * nodes[i].listen_power +
-                           m.beta[i] * nodes[i].transmit_power);
-      eval.eta[i] = std::max(0.0, eval.eta[i] - delta * grad);
-    }
-  }
-  gibbs.evaluate(eval.eta, eval);
-  return finalize(gibbs, eval, gibbs.marginals(eval), opt.max_iterations,
-                  false);
-}
-
-P4Result solve_accelerated(const ExactGibbs& gibbs, const P4Options& opt) {
+P4Result solve_accelerated(const ExactGibbs& gibbs) {
   const std::size_t n = gibbs.num_nodes();
   const model::NodeSet& nodes = gibbs.nodes();
   // One evaluation per η: the line search evaluates each candidate once,
@@ -86,9 +69,9 @@ P4Result solve_accelerated(const ExactGibbs& gibbs, const P4Options& opt) {
 
   candidate.eta.resize(n);
   std::vector<double> grad(n);
-  for (std::size_t k = 1; k <= opt.max_iterations; ++k) {
+  for (std::size_t k = 1; k <= kMaxIterations; ++k) {
     const Marginals m = gibbs.marginals(current);
-    if (kkt_residual(nodes, current.eta, m) < opt.tolerance)
+    if (kkt_residual(nodes, current.eta, m) < kTolerance)
       return finalize(gibbs, current, m, k, true);
 
     for (std::size_t i = 0; i < n; ++i)
@@ -120,13 +103,13 @@ P4Result solve_accelerated(const ExactGibbs& gibbs, const P4Options& opt) {
     if (!accepted) return finalize(gibbs, current, m, k, false);
   }
   return finalize(gibbs, current, gibbs.marginals(current),
-                  opt.max_iterations, false);
+                  kMaxIterations, false);
 }
 
 P4Result solve_symmetric(const model::NodeSet& nodes, model::Mode mode,
-                         double sigma, const P4Options& opt) {
+                         double sigma) {
   SymmetricGibbs gibbs(nodes.size(), nodes.front(), mode, sigma);
-  const double eta = gibbs.solve_optimal_eta(opt.tolerance * 1e-2);
+  const double eta = gibbs.solve_optimal_eta(kTolerance * 1e-2);
   const Marginals m = gibbs.marginals(eta);
   P4Result out;
   out.eta.assign(nodes.size(), eta);
@@ -142,22 +125,19 @@ P4Result solve_symmetric(const model::NodeSet& nodes, model::Mode mode,
 
 }  // namespace
 
-P4Result solve_p4(const model::NodeSet& nodes, model::Mode mode, double sigma,
-                  const P4Options& options) {
+P4Result solve_p4(const model::NodeSet& nodes, model::Mode mode,
+                  double sigma) {
   model::validate(nodes);
   if (nodes.size() < 2)
     throw std::invalid_argument("P4 needs at least two nodes");
-  if (options.method == P4Method::kAutomatic && model::is_homogeneous(nodes))
-    return solve_symmetric(nodes, mode, sigma, options);
-  return solve_p4(ExactGibbs(nodes, mode, sigma), options);
+  if (model::is_homogeneous(nodes)) return solve_symmetric(nodes, mode, sigma);
+  return solve_p4(ExactGibbs(nodes, mode, sigma));
 }
 
-P4Result solve_p4(const ExactGibbs& gibbs, const P4Options& options) {
+P4Result solve_p4(const ExactGibbs& gibbs) {
   if (gibbs.num_nodes() < 2)
     throw std::invalid_argument("P4 needs at least two nodes");
-  if (options.method == P4Method::kAlgorithm1)
-    return solve_algorithm1(gibbs, options);
-  return solve_accelerated(gibbs, options);
+  return solve_accelerated(gibbs);
 }
 
 }  // namespace econcast::gibbs

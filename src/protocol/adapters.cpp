@@ -119,7 +119,7 @@ SimResult run_one(const OracleParams& params, std::string_view name,
 
 SimResult run_one(const PandaParams& params, std::string_view name,
                   const model::NodeSet& nodes, const model::Topology& topology,
-                  std::uint64_t seed) {
+                  std::uint64_t /*seed*/) {
   require_clique(topology, name);
   const model::NodeParams node = require_homogeneous(nodes, name);
   const std::size_t n = nodes.size();
@@ -139,29 +139,8 @@ SimResult run_one(const PandaParams& params, std::string_view name,
   }
 
   SimResult out;
-  if (!params.simulate) {
-    out.groupput = design.throughput;
-    out.avg_power.assign(n, design.power);
-    out.extras["wake_rate"] = design.wake_rate;
-    out.extras["listen_window"] = design.listen_window;
-    return out;
-  }
-  const baselines::PandaSimDetail d = baselines::simulate_panda_detailed(
-      n, design.wake_rate, design.listen_window, params.duration, seed);
-  out.measured_window = d.duration;
-  out.groupput = static_cast<double>(d.receptions) / d.duration;
-  out.anyput = static_cast<double>(d.packets_received_any) / d.duration;
-  out.packets_sent = d.packets;
-  out.packets_received = d.receptions;
-  out.listen_fraction.resize(n);
-  out.transmit_fraction.resize(n);
-  out.avg_power.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.listen_fraction[i] = d.listen_time[i] / d.duration;
-    out.transmit_fraction[i] = d.transmit_time[i] / d.duration;
-    out.avg_power[i] = out.listen_fraction[i] * node.listen_power +
-                       out.transmit_fraction[i] * node.transmit_power;
-  }
+  out.groupput = design.throughput;
+  out.avg_power.assign(n, design.power);
   out.extras["wake_rate"] = design.wake_rate;
   out.extras["listen_window"] = design.listen_window;
   return out;
@@ -171,7 +150,7 @@ SimResult run_one(const PandaParams& params, std::string_view name,
 
 SimResult run_one(const BirthdayParams& params, std::string_view name,
                   const model::NodeSet& nodes, const model::Topology& topology,
-                  std::uint64_t seed) {
+                  std::uint64_t /*seed*/) {
   require_clique(topology, name);
   const model::NodeParams node = require_homogeneous(nodes, name);
   const std::size_t n = nodes.size();
@@ -186,37 +165,14 @@ SimResult run_one(const BirthdayParams& params, std::string_view name,
   }
 
   SimResult out;
-  if (!params.simulate) {
-    out.groupput = baselines::birthday_throughput(n, p_transmit, p_listen,
-                                                  model::Mode::kGroupput);
-    out.anyput = baselines::birthday_throughput(n, p_transmit, p_listen,
-                                                model::Mode::kAnyput);
-    out.listen_fraction.assign(n, p_listen);
-    out.transmit_fraction.assign(n, p_transmit);
-    out.avg_power.assign(n, p_listen * node.listen_power +
-                                p_transmit * node.transmit_power);
-    out.extras["p_transmit"] = p_transmit;
-    out.extras["p_listen"] = p_listen;
-    return out;
-  }
-  const baselines::BirthdaySimDetail d = baselines::simulate_birthday_detailed(
-      n, p_transmit, p_listen, params.slots, seed);
-  const double window = static_cast<double>(d.slots);
-  out.measured_window = window;
-  out.groupput = d.groupput_credit / window;
-  out.anyput = d.anyput_credit / window;
-  out.packets_sent = d.packets;
-  out.packets_received = static_cast<std::uint64_t>(d.groupput_credit);
-  out.listen_fraction.resize(n);
-  out.transmit_fraction.resize(n);
-  out.avg_power.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.listen_fraction[i] = static_cast<double>(d.listen_slots[i]) / window;
-    out.transmit_fraction[i] =
-        static_cast<double>(d.transmit_slots[i]) / window;
-    out.avg_power[i] = out.listen_fraction[i] * node.listen_power +
-                       out.transmit_fraction[i] * node.transmit_power;
-  }
+  out.groupput = baselines::birthday_throughput(n, p_transmit, p_listen,
+                                                model::Mode::kGroupput);
+  out.anyput = baselines::birthday_throughput(n, p_transmit, p_listen,
+                                              model::Mode::kAnyput);
+  out.listen_fraction.assign(n, p_listen);
+  out.transmit_fraction.assign(n, p_transmit);
+  out.avg_power.assign(n, p_listen * node.listen_power +
+                              p_transmit * node.transmit_power);
   out.extras["p_transmit"] = p_transmit;
   out.extras["p_listen"] = p_listen;
   return out;

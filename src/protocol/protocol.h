@@ -80,28 +80,23 @@ struct OracleParams {
   model::Mode mode = model::Mode::kGroupput;
 };
 
-/// Panda: Margolies et al. neighbor discovery. With `optimize` the
-/// (λ, w) design is derived from the node budget/powers (the paper's
-/// comparison point); otherwise `wake_rate`/`listen_window` are used as
-/// given. With `simulate` the event-driven simulator runs for `duration`
-/// packet-times; otherwise the renewal-reward model values are reported.
+/// Panda: Margolies et al. neighbor discovery, reported as its
+/// renewal-reward model values. With `optimize` the (λ, w) design is
+/// derived from the node budget/powers (the paper's comparison point);
+/// otherwise `wake_rate`/`listen_window` are used as given.
 struct PandaParams {
   bool optimize = true;
   double wake_rate = 0.0;
   double listen_window = 0.0;
-  bool simulate = false;
-  double duration = 1e6;
 };
 
-/// Birthday: McGlynn & Borbash slotted discovery. Same optimize/simulate
-/// split as Panda; `slots` is the simulated horizon (1 slot = 1 packet-time).
+/// Birthday: McGlynn & Borbash slotted discovery, reported as its closed
+/// form. Same optimize split as Panda.
 struct BirthdayParams {
   model::Mode mode = model::Mode::kGroupput;
   bool optimize = true;
   double p_transmit = 0.0;
   double p_listen = 0.0;
-  bool simulate = false;
-  std::uint64_t slots = 1000000;
 };
 
 /// The Searchlight bound: the paper's Searchlight groupput upper bound

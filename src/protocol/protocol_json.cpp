@@ -191,18 +191,14 @@ Value params_to_json(const ProtocolParams& params) {
       return Value(Object{}
                        .set("optimize", p.optimize)
                        .set("wake_rate", p.wake_rate)
-                       .set("listen_window", p.listen_window)
-                       .set("simulate", p.simulate)
-                       .set("duration", p.duration));
+                       .set("listen_window", p.listen_window));
     }
     Value operator()(const BirthdayParams& p) const {
       return Value(Object{}
                        .set("mode", mode_to_token(p.mode))
                        .set("optimize", p.optimize)
                        .set("p_transmit", p.p_transmit)
-                       .set("p_listen", p.p_listen)
-                       .set("simulate", p.simulate)
-                       .set("slots", util::json::u64_to_string(p.slots)));
+                       .set("p_listen", p.p_listen));
     }
     Value operator()(const SearchlightParams& p) const {
       return Value(Object{}
@@ -220,6 +216,17 @@ Value params_to_json(const ProtocolParams& params) {
   return std::visit(Visitor{}, params);
 }
 
+/// Panda and Birthday run their analytic models only. Older manifests still
+/// carry "simulate": false with a horizon ("duration", "slots"); those
+/// members are ignored so the files load. "simulate": true is rejected:
+/// ignoring it would silently swap a simulation for the analytic model.
+void reject_simulation(const Object& o, const char* protocol) {
+  if (flag(o, "simulate", false))
+    throw Error(std::string("protocol '") + protocol +
+                "': \"simulate\": true is no longer supported; only the "
+                "analytic model runs (drop the member)");
+}
+
 /// Decodes `o` into `params`, which holds its protocol's defaults: absent
 /// keys keep them.
 void params_from_json(const Object& o, ProtocolParams& params) {
@@ -234,19 +241,17 @@ void params_from_json(const Object& o, ProtocolParams& params) {
       p.mode = mode_from_token(str(o, "mode", mode_to_token(p.mode)));
     }
     void operator()(PandaParams& p) const {
+      reject_simulation(o, "panda");
       p.optimize = flag(o, "optimize", p.optimize);
       p.wake_rate = num(o, "wake_rate", p.wake_rate);
       p.listen_window = num(o, "listen_window", p.listen_window);
-      p.simulate = flag(o, "simulate", p.simulate);
-      p.duration = num(o, "duration", p.duration);
     }
     void operator()(BirthdayParams& p) const {
+      reject_simulation(o, "birthday");
       p.mode = mode_from_token(str(o, "mode", mode_to_token(p.mode)));
       p.optimize = flag(o, "optimize", p.optimize);
       p.p_transmit = num(o, "p_transmit", p.p_transmit);
       p.p_listen = num(o, "p_listen", p.p_listen);
-      p.simulate = flag(o, "simulate", p.simulate);
-      p.slots = u64(o, "slots", p.slots);
     }
     void operator()(SearchlightParams& p) const {
       p.slot_seconds = num(o, "slot_seconds", p.slot_seconds);
@@ -371,10 +376,11 @@ SimResult sim_result_from_json(const Value& value) {
     r.transmit_fraction = metrics_from_json(*v);
   if (const Value* v = o.find("burst_lengths")) {
     const Object& b = v->as_object();
-    // count stays strict: it is integral by construction, and a null here
-    // would otherwise reach a double-to-size_t cast as NaN (UB).
+    // count stays strict: it is integral by construction, and a null,
+    // negative or huge value is corruption, not a number to cast.
+    const Value* count = b.find("count");
     r.burst_lengths = util::RunningStats::restore(
-        static_cast<std::size_t>(num(b, "count", 0.0)),
+        count ? util::json::size_from_json(*count, "burst_lengths count") : 0,
         metric(b, "mean", 0.0), metric(b, "m2", 0.0), metric(b, "min", 0.0),
         metric(b, "max", 0.0));
   }

@@ -30,12 +30,8 @@ struct UnitVisitor {
     // The firmware loop is ~clique EconCast in real milliseconds.
     return n * std::sqrt(n) * p.duration_ms;
   }
-  double operator()(const protocol::PandaParams& p) const {
-    return p.simulate ? n * p.duration : 1.0 + n;
-  }
-  double operator()(const protocol::BirthdayParams& p) const {
-    return p.simulate ? n * static_cast<double>(p.slots) : 1.0 + n;
-  }
+  double operator()(const protocol::PandaParams&) const { return 1.0 + n; }
+  double operator()(const protocol::BirthdayParams&) const { return 1.0 + n; }
   double operator()(const protocol::P4Params&) const {
     // The (P4) solver iterates over the N-node state space.
     return 1.0 + n * n;

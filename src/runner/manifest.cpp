@@ -1,6 +1,5 @@
 #include "runner/manifest.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -24,16 +23,11 @@ constexpr const char* kManifestFormat = "econcast-sweep-manifest";
 /// h axis + sampling seed) and "edge_list" topology objects.
 constexpr int kSchemaVersion = 2;
 
-/// Checked decode of a JSON number used as a count or index: a negative or
-/// fractional value must become a named parse error, not a silent
-/// double-to-size_t cast (UB for negatives) feeding an n×n allocation.
-std::size_t size_from_json(const Value& value, const char* what) {
-  const double v = value.as_number();
-  constexpr double kMax = 4294967295.0;  // 2^32 - 1: far beyond any sweep
-  if (!(v >= 0.0) || v > kMax || v != std::floor(v))
-    throw Error(std::string(what) + " must be a non-negative integer, got " +
-                util::json::format_double(v));
-  return static_cast<std::size_t>(v);
+/// Checked decode of a manifest count or index, capped at 2^32 - 1 (far
+/// beyond any sweep): a negative, fractional or huge value becomes a named
+/// parse error, not a cast feeding an n×n allocation.
+std::size_t count_from_json(const Value& value, const char* what) {
+  return util::json::size_from_json(value, what, 4294967295.0);
 }
 
 // Shared [[i, j], ...] edge-array codec for the SweepSpec topology form and
@@ -54,8 +48,8 @@ EdgeList edges_from_json(const Value& value) {
   for (const Value& e : value.as_array()) {
     const Array& pair = e.as_array();
     if (pair.size() != 2) throw Error("topology edge must be a [i, j] pair");
-    edges.emplace_back(size_from_json(pair[0], "edge endpoint"),
-                       size_from_json(pair[1], "edge endpoint"));
+    edges.emplace_back(count_from_json(pair[0], "edge endpoint"),
+                       count_from_json(pair[1], "edge endpoint"));
   }
   return edges;
 }
@@ -82,7 +76,7 @@ void topology_from_json(const Value& value, SweepSpec& spec) {
     spec.topology(kind);
     return;
   }
-  const std::size_t n = size_from_json(o.at("n"), "edge_list node count");
+  const std::size_t n = count_from_json(o.at("n"), "edge_list node count");
   spec.topology(n, edges_from_json(o.at("edges")));
 }
 
@@ -142,12 +136,6 @@ PowerPoint power_point_from_json(const Value& value) {
 }
 
 Value to_json(const SweepSpec& spec) {
-  if (spec.topology_kind().empty())
-    throw Error("sweep '" + spec.name() +
-                "' uses a custom topology function and cannot be serialized");
-  if (spec.node_set_kind().empty())
-    throw Error("sweep '" + spec.name() +
-                "' uses a custom node-set function and cannot be serialized");
   spec.validate();
 
   Array protocols;
@@ -196,7 +184,7 @@ SweepSpec sweep_spec_from_json(const Value& value) {
   if (const Value* v = o.find("node_counts")) {
     std::vector<std::size_t> counts;
     for (const Value& n : v->as_array())
-      counts.push_back(size_from_json(n, "node count"));
+      counts.push_back(count_from_json(n, "node count"));
     spec.node_counts(std::move(counts));
   }
   if (const Value* v = o.find("powers")) {
@@ -211,7 +199,7 @@ SweepSpec sweep_spec_from_json(const Value& value) {
     spec.sigmas(std::move(sigmas));
   }
   if (const Value* v = o.find("replicates"))
-    spec.replicates(size_from_json(*v, "replicates"));
+    spec.replicates(count_from_json(*v, "replicates"));
   if (const Value* v = o.find("topology")) topology_from_json(*v, spec);
   if (const Value* v = o.find("node_set")) node_set_from_json(*v, spec);
   // Cross-axis checks run here, at parse time, so e.g. a "grid" sweep with a
@@ -260,7 +248,7 @@ Scenario scenario_from_json(const Value& value) {
   }
 
   const Object& topo = o.at("topology").as_object();
-  const std::size_t n = size_from_json(topo.at("n"), "topology node count");
+  const std::size_t n = count_from_json(topo.at("n"), "topology node count");
 
   return Scenario{o.at("name").as_string(), std::move(nodes),
                   model::Topology::from_edges(n,

@@ -4,12 +4,10 @@
 // (tools/) executes any manifest end-to-end with checkpoint/resume
 // (runner/sweep_session.h).
 //
-// Serializable specs are the declarative subset: named topology kinds
-// ("clique"/"line"/"ring"/"grid"), explicit "edge_list" graphs, and the
-// named node-set kinds ("homogeneous", and "sampled" — the §VII-B
-// heterogeneity process with its h axis and sampling seed). Installing a
-// custom topology/node-set std::function on a SweepSpec makes to_json throw
-// — those sweeps stay code.
+// Every SweepSpec serializes: its topology is a named kind
+// ("clique"/"line"/"ring"/"grid") or an explicit "edge_list" graph, and its
+// node set a named kind ("homogeneous", or "sampled" — the §VII-B
+// heterogeneity process with its h axis and sampling seed).
 //
 // Manifests carry a schema_version (currently 2; version 1 files, which
 // predate node-set objects and edge lists, still load). Unknown versions

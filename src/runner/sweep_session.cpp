@@ -96,8 +96,8 @@ void SweepSession::load_existing() {
           ") of sweep '" + manifest_.spec.name() + "'");
     const Value record = util::json::parse(line);
     const Object& o = record.as_object();
-    const auto recorded_index =
-        static_cast<std::size_t>(o.at("index").as_number());
+    const std::size_t recorded_index =
+        util::json::size_from_json(o.at("index"), "results line index");
     const std::string& recorded_name = o.at("name").as_string();
     const std::uint64_t recorded_seed =
         util::json::u64_from_string(o.at("seed").as_string());

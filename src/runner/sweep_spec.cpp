@@ -35,6 +35,20 @@ std::size_t grid_side(std::size_t n) {
   return k * k == n ? k : 0;
 }
 
+/// The `kind` topology on n nodes; validate() has checked that a grid's n
+/// is a perfect square and that an edge list spans n nodes.
+model::Topology make_topology(const std::string& kind, std::size_t n,
+                              const EdgeList& edges) {
+  if (kind == "line") return model::Topology::line(n);
+  if (kind == "ring") return model::Topology::ring(n);
+  if (kind == "grid") {
+    const std::size_t k = grid_side(n);
+    return model::Topology::grid(k, k);
+  }
+  if (kind == "edge_list") return model::Topology::from_edges(n, edges);
+  return model::Topology::clique(n);
+}
+
 }  // namespace
 
 std::vector<PowerPoint> power_ratio_axis(const std::vector<double>& ratios,
@@ -91,38 +105,13 @@ SweepSpec& SweepSpec::replicates(std::size_t count) {
   return *this;
 }
 
-SweepSpec& SweepSpec::topology(
-    std::function<model::Topology(std::size_t)> make) {
-  topology_ = std::move(make);
-  topology_kind_.clear();  // custom: not expressible in a manifest
-  edge_list_nodes_ = 0;
-  edge_list_.clear();
-  return *this;
-}
-
 SweepSpec& SweepSpec::topology(const std::string& kind) {
-  if (kind == "clique") {
-    topology_ = nullptr;  // the expansion default
-  } else if (kind == "line") {
-    topology_ = [](std::size_t n) { return model::Topology::line(n); };
-  } else if (kind == "ring") {
-    topology_ = [](std::size_t n) { return model::Topology::ring(n); };
-  } else if (kind == "grid") {
-    topology_ = [](std::size_t n) {
-      const std::size_t k = grid_side(n);
-      if (k == 0)
-        throw std::invalid_argument(
-            "grid topology requires a square node count, got " +
-            std::to_string(n));
-      return model::Topology::grid(k, k);
-    };
-  } else if (kind == "edge_list") {
+  if (kind == "edge_list")
     throw std::invalid_argument(
         "topology kind 'edge_list' needs the explicit graph — use "
         "topology(n, edges)");
-  } else {
+  if (kind != "clique" && kind != "line" && kind != "ring" && kind != "grid")
     throw std::invalid_argument("unknown topology kind '" + kind + "'");
-  }
   topology_kind_ = kind;
   edge_list_nodes_ = 0;
   edge_list_.clear();
@@ -130,39 +119,21 @@ SweepSpec& SweepSpec::topology(const std::string& kind) {
 }
 
 SweepSpec& SweepSpec::topology(std::size_t n, EdgeList edges) {
-  // Build eagerly so bad edges surface at set time, not at expand time.
-  model::Topology graph = model::Topology::from_edges(n, edges);
-  topology_ = [graph = std::move(graph), n](std::size_t count) {
-    if (count != n)
-      throw std::invalid_argument(
-          "edge_list topology has " + std::to_string(n) +
-          " nodes but the sweep asks for " + std::to_string(count));
-    return graph;
-  };
+  // Build once here so bad edges surface at set time, not at expand time.
+  model::Topology::from_edges(n, edges);
   topology_kind_ = "edge_list";
   edge_list_nodes_ = n;
   edge_list_ = std::move(edges);
   return *this;
 }
 
-SweepSpec& SweepSpec::node_set(
-    std::function<model::NodeSet(std::size_t, const PowerPoint&)> make) {
-  node_set_ = std::move(make);
-  node_set_kind_.clear();  // custom: not expressible in a manifest
-  heterogeneity_ = {10.0};
-  return *this;
-}
-
 SweepSpec& SweepSpec::node_set(const std::string& kind) {
-  if (kind == "homogeneous") {
-    node_set_ = nullptr;  // the expansion default
-  } else if (kind == "sampled") {
+  if (kind == "sampled")
     throw std::invalid_argument(
         "node_set kind 'sampled' needs its h axis and seed — use "
         "sampled_node_set(h_values, sample_seed)");
-  } else {
+  if (kind != "homogeneous")
     throw std::invalid_argument("unknown node_set kind '" + kind + "'");
-  }
   node_set_kind_ = kind;
   heterogeneity_ = {10.0};
   return *this;
@@ -171,7 +142,6 @@ SweepSpec& SweepSpec::node_set(const std::string& kind) {
 SweepSpec& SweepSpec::sampled_node_set(std::vector<double> h_values,
                                        std::uint64_t sample_seed) {
   require_nonempty(h_values, "heterogeneity");
-  node_set_ = nullptr;
   node_set_kind_ = "sampled";
   heterogeneity_ = std::move(h_values);
   sample_seed_ = sample_seed;
@@ -279,18 +249,15 @@ std::vector<Scenario> SweepSpec::expand() const {
       for (std::size_t n_i = 0; n_i < node_counts_.size(); ++n_i) {
         const std::size_t n = node_counts_[n_i];
         const model::Topology topology =
-            topology_ ? topology_(n) : model::Topology::clique(n);
+            make_topology(topology_kind_, n, edge_list_);
         for (const PowerPoint& power : powers_) {
           for (std::size_t h_i = 0; h_i < heterogeneity_.size(); ++h_i) {
             const double h = heterogeneity_[h_i];
             model::NodeSet shared_nodes;
-            if (!sampled) {
-              shared_nodes =
-                  node_set_ ? node_set_(n, power)
-                            : model::homogeneous(n, power.budget,
-                                                 power.listen_power,
-                                                 power.transmit_power);
-            }
+            if (!sampled)
+              shared_nodes = model::homogeneous(n, power.budget,
+                                                power.listen_power,
+                                                power.transmit_power);
             for (const double sigma : sigmas_) {
               const protocol::ProtocolSpec cell_spec =
                   protocol::specialized(spec, mode, sigma);

@@ -6,7 +6,9 @@
 // deterministically named scenario batch that one ScenarioRunner::run call
 // executes across all cores under the derive_seed contract. Because each
 // cell carries a protocol::ProtocolSpec, one sweep can mix EconCast, the
-// analytic baselines and custom protocols in a single batch.
+// analytic baselines and the testbed in a single batch. Every axis,
+// topology and node set is data, so any spec can be written as a manifest
+// (runner/manifest.h).
 //
 // Expansion order (fixed, documented, and relied on by cell_index):
 //   protocol (outermost) → mode → node count → power point → heterogeneity h
@@ -21,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,14 +64,9 @@ class SweepSpec {
   SweepSpec& sigmas(std::vector<double> sigmas);
   SweepSpec& replicates(std::size_t count);
 
-  /// Topology as a function of the node count (default: clique). A custom
-  /// function makes the spec non-serializable (see topology_kind).
-  SweepSpec& topology(std::function<model::Topology(std::size_t)> make);
-
-  /// Topology by name — the serializable form used by sweep manifests:
-  /// "clique", "line", "ring", or "grid" (square grids; node counts must be
-  /// perfect squares — validate() checks). Throws std::invalid_argument for
-  /// unknown kinds.
+  /// Topology by name (default "clique"): "clique", "line", "ring", or
+  /// "grid" (square grids; node counts must be perfect squares — validate()
+  /// checks). Throws std::invalid_argument for unknown kinds.
   SweepSpec& topology(const std::string& kind);
 
   /// Explicit graph topology ("edge_list" kind): every cell runs on exactly
@@ -78,17 +74,11 @@ class SweepSpec {
   /// (validate() checks). Throws std::invalid_argument on bad edges.
   SweepSpec& topology(std::size_t n, EdgeList edges);
 
-  /// Node sets as a function of (node count, power point); the default is
-  /// model::homogeneous. Lets sweeps use heterogeneous populations while
-  /// keeping the N and power axes meaningful. A custom function makes the
-  /// spec non-serializable and resets the heterogeneity axis.
-  SweepSpec& node_set(
-      std::function<model::NodeSet(std::size_t, const PowerPoint&)> make);
-
-  /// Node-set generator by name — the serializable form: "homogeneous"
-  /// (which also resets the heterogeneity axis). The "sampled" kind needs
-  /// its h axis and seed, so it is set via sampled_node_set. Throws
-  /// std::invalid_argument for unknown kinds.
+  /// Node-set generator by name: "homogeneous" (the default:
+  /// model::homogeneous at each (node count, power point); also resets the
+  /// heterogeneity axis). The "sampled" kind needs its h axis and seed, so
+  /// it is set via sampled_node_set. Throws std::invalid_argument for
+  /// unknown kinds.
   SweepSpec& node_set(const std::string& kind);
 
   /// The §VII-B heterogeneous sampling process as a node-set generator
@@ -128,14 +118,12 @@ class SweepSpec {
   std::uint64_t sample_seed() const noexcept { return sample_seed_; }
   std::size_t replicate_count() const noexcept { return replicates_; }
   /// The named topology kind ("clique" when defaulted, "edge_list" for an
-  /// explicit graph), or "" when a custom topology function was installed —
-  /// such specs cannot be serialized.
+  /// explicit graph).
   const std::string& topology_kind() const noexcept { return topology_kind_; }
   /// Node count and edges of an "edge_list" topology (empty otherwise).
   std::size_t edge_list_nodes() const noexcept { return edge_list_nodes_; }
   const EdgeList& edge_list() const noexcept { return edge_list_; }
-  /// "homogeneous" (the default) or "sampled"; "" for a custom node-set
-  /// function — such specs cannot be serialized.
+  /// "homogeneous" (the default) or "sampled".
   const std::string& node_set_kind() const noexcept { return node_set_kind_; }
 
   /// Cross-axis consistency checks that individual setters cannot make
@@ -170,8 +158,6 @@ class SweepSpec {
   std::vector<PowerPoint> powers_{PowerPoint{}};
   std::vector<double> sigmas_{0.5};
   std::size_t replicates_ = 1;
-  std::function<model::Topology(std::size_t)> topology_;
-  std::function<model::NodeSet(std::size_t, const PowerPoint&)> node_set_;
   std::string topology_kind_ = "clique";
   std::string node_set_kind_ = "homogeneous";
   /// Degenerate single-h axis unless node_set_kind_ == "sampled". 10 is the

@@ -31,9 +31,6 @@ class EnergyLedger {
   /// Total energy consumed (integral of draw) up to `now`.
   double consumed(std::size_t i, double now) const noexcept;
 
-  double harvest_rate(std::size_t i) const noexcept { return harvest_[i]; }
-  double draw(std::size_t i) const noexcept { return draw_[i]; }
-
  private:
   std::vector<double> harvest_;
   std::vector<double> draw_;

@@ -428,6 +428,16 @@ std::uint64_t u64_from_string(const std::string& s) {
   return static_cast<std::uint64_t>(v);
 }
 
+std::size_t size_from_json(const Value& value, const char* what,
+                           double max) {
+  const double v = value.as_number();
+  if (!(v >= 0.0 && v <= max) || v != std::floor(v))
+    throw Error(std::string(what) + " must be an integer in [0, " +
+                format_double(max) + "], got " +
+                (std::isfinite(v) ? format_double(v) : "a non-finite number"));
+  return static_cast<std::size_t>(v);
+}
+
 namespace {
 
 void dump_string(const std::string& s, std::string& out) {

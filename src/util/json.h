@@ -131,6 +131,14 @@ std::string format_double(double d);
 std::string u64_to_string(std::uint64_t v);
 std::uint64_t u64_from_string(const std::string& s);
 
+/// `value` as a count, index or timestamp: throws Error naming `what`
+/// unless it is an integral number in [0, max]. A bare double-to-integer
+/// cast is undefined behaviour for negatives and for values past the
+/// target type, so every such number read from a file comes through here.
+/// The default cap, 2^53, is where doubles stop holding every integer.
+std::size_t size_from_json(const Value& value, const char* what,
+                           double max = 9007199254740992.0);
+
 }  // namespace econcast::util::json
 
 #endif  // ECONCAST_UTIL_JSON_H

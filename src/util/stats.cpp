@@ -75,14 +75,6 @@ double SampleSet::cdf(double x) const {
          static_cast<double>(samples_.size());
 }
 
-std::vector<double> SampleSet::cdf_curve(
-    const std::vector<double>& points) const {
-  std::vector<double> out;
-  out.reserve(points.size());
-  for (const double x : points) out.push_back(cdf(x));
-  return out;
-}
-
 void Counter::add(std::size_t value, std::uint64_t weight) {
   if (value >= counts_.size()) counts_.resize(value + 1, 0);
   counts_[value] += weight;

@@ -67,9 +67,6 @@ class SampleSet {
   /// Empirical CDF value at x: fraction of samples <= x.
   double cdf(double x) const;
 
-  /// CDF evaluated at each of `points` (ascending output, one pass).
-  std::vector<double> cdf_curve(const std::vector<double>& points) const;
-
   const std::vector<double>& samples() const noexcept { return samples_; }
 
  private:

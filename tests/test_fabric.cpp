@@ -12,7 +12,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fabric/claim.h"
@@ -67,6 +69,26 @@ runner::SweepManifest small_manifest() {
           .sigmas({0.5, 0.75})
           .replicates(2),
       /*seed=*/7, true);
+}
+
+/// A two-cell analytic sweep: workers and merges over it take milliseconds.
+runner::SweepManifest analytic_manifest() {
+  return runner::SweepManifest(
+      runner::SweepSpec("fabric-analytic")
+          .protocols({protocol::p4_spec(model::Mode::kGroupput, 0.5)})
+          .node_counts({3, 4}),
+      /*seed=*/7, true);
+}
+
+/// `what` of the std::runtime_error `fn` throws ("" when it throws none).
+template <typename Fn>
+std::string runtime_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 /// Writes the manifest into `dir` under a spool-compatible name and returns
@@ -316,6 +338,64 @@ TEST(ShardClaim, StalenessUsesLease) {
   spit(dir / "bad.claim.json", "{\"format\": \"econcast-shard-claim\"");
   EXPECT_THROW(fabric::load_claim((dir / "bad.claim.json").string()),
                std::runtime_error);
+}
+
+TEST(ShardClaim, RejectsHostileNumbers) {
+  // Every number of a claim becomes an integer: a negative, fractional or
+  // huge one makes the claim corrupt, naming the member, instead of being
+  // cast.
+  const fs::path dir = test_dir();
+  const std::string path = (dir / "hostile.claim.json").string();
+  const char* const members[] = {"shard", "shards", "claimed_at",
+                                 "heartbeat_at"};
+  for (const char* member : members) {
+    for (const char* value : {"-1", "0.5", "1e300"}) {
+      SCOPED_TRACE(std::string(member) + " = " + value);
+      std::string text =
+          R"({"format": "econcast-shard-claim", "shard": 0, "shards": 2,
+              "worker": "w", "claimed_at": 100, "heartbeat_at": 100,
+              "cells_done": "0"})";
+      const std::string key = std::string("\"") + member + "\": ";
+      const std::size_t at = text.find(key) + key.size();
+      text.replace(at, text.find(',', at) - at, value);
+      spit(path, text);
+      const std::string what =
+          runtime_error_of([&] { fabric::load_claim(path); });
+      EXPECT_NE(what.find(std::string(member) + " must be"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(ShardPlan, RejectsHostileNumbers) {
+  // total_cells, shards and bounds are checked before any cast: a negative,
+  // fractional or huge value is a corrupt plan naming the member.
+  const fs::path dir = test_dir();
+  const std::string manifest_path = (dir / "m.manifest.json").string();
+  fabric::pin_plan(manifest_path, 4, 2);
+  const std::pair<const char*, const char*> plans[] = {
+      {"total_cells", R"({"format": "econcast-shard-plan",
+                          "total_cells": 1e300, "shards": 2})"},
+      {"total_cells", R"({"format": "econcast-shard-plan",
+                          "total_cells": -1, "shards": 2})"},
+      {"shards", R"({"format": "econcast-shard-plan",
+                     "total_cells": 4, "shards": 2.5})"},
+      {"shards", R"({"format": "econcast-shard-plan",
+                     "total_cells": 4, "shards": -1})"},
+      {"bound", R"({"format": "econcast-shard-plan", "total_cells": 4,
+                    "shards": 2, "bounds": [0, -1, 4]})"},
+      {"bound", R"({"format": "econcast-shard-plan", "total_cells": 4,
+                    "shards": 2, "bounds": [0, 1e300, 4]})"},
+  };
+  for (const auto& [member, text] : plans) {
+    SCOPED_TRACE(text);
+    spit(fabric::plan_path(manifest_path), text);
+    const std::string what =
+        runtime_error_of([&] { fabric::load_plan(manifest_path); });
+    EXPECT_NE(what.find(std::string(member) + " must be"), std::string::npos)
+        << what;
+  }
 }
 
 // ------------------------------------------- SweepSession cell ranges --
@@ -600,6 +680,36 @@ TEST(Fabric, MergerRejectsMissingShortAndTamperedShards) {
                std::runtime_error);
 }
 
+TEST(Fabric, MergerRejectsHostileIndicesAndLeavesNoTempFile) {
+  // A shard line whose index is negative, fractional or huge is a named
+  // error. Cast unchecked, 1e300 reads as index 0 on x86-64 and the line
+  // would merge as cell 0. A rejected merge removes its temp file.
+  const fs::path dir = test_dir();
+  const std::string manifest_path =
+      write_spool_manifest(dir, analytic_manifest());
+  fabric::Worker(manifest_path, 0, 2).run();
+  fabric::Worker(manifest_path, 1, 2).run();
+  const std::string shard0 = fabric::shard_results_path(manifest_path, 0, 2);
+  const std::string intact = slurp(shard0);
+  ASSERT_EQ(intact.rfind("{\"index\":0,", 0), 0u) << intact;
+  const std::string merged = fabric::merged_results_path(manifest_path);
+  for (const char* index : {"-1", "0.5", "1e300"}) {
+    SCOPED_TRACE(index);
+    spit(shard0, "{\"index\":" + std::string(index) +
+                     intact.substr(intact.find(',')));
+    const std::string what =
+        runtime_error_of([&] { fabric::Merger::merge(manifest_path); });
+    EXPECT_NE(what.find("shard-0-of-2.jsonl' line 1 is corrupt: results "
+                        "line index must be"),
+              std::string::npos)
+        << what;
+    EXPECT_FALSE(fs::exists(merged));
+    EXPECT_FALSE(fs::exists(merged + ".merge.tmp"));
+  }
+  spit(shard0, intact);
+  EXPECT_NO_THROW(fabric::Merger::merge(manifest_path));
+}
+
 TEST(Fabric, OverShardedPlanLeavesEmptyShardsTriviallyComplete) {
   const fs::path dir = test_dir();
   proto::SimConfig cfg;
@@ -738,6 +848,38 @@ TEST(Fabric, CoordinatorLeavesFreshClaimsAlone) {
   EXPECT_THROW(fabric::Coordinator(dir.string(),
                                    fabric::Coordinator::Options{0, 60, {}}),
                std::invalid_argument);
+}
+
+TEST(Fabric, CoordinatorAdvancesEveryManifestPastABrokenOne) {
+  // A manifest that cannot merge must not starve the ones sorted after it:
+  // with two lines of a's shard 0 swapped, a pass still merges b to the
+  // single-process bytes, then throws naming a, and a's failed merge
+  // leaves no temp file behind.
+  const fs::path dir = test_dir();
+  const runner::SweepManifest manifest = small_manifest();
+  const std::string a = write_spool_manifest(dir, manifest, "a");
+  const std::string b = write_spool_manifest(dir, manifest, "b");
+  runner::SweepSession single(manifest, (dir / "single.jsonl").string());
+  single.run();
+  for (const std::string& path : {a, b})
+    for (std::size_t i = 0; i < 2; ++i) fabric::Worker(path, i, 2).run();
+
+  const std::string shard0 = fabric::shard_results_path(a, 0, 2);
+  const std::string bytes = slurp(shard0);
+  const std::size_t second = bytes.find('\n') + 1;
+  const std::size_t third = bytes.find('\n', second) + 1;
+  spit(shard0, bytes.substr(second, third - second) +
+                   bytes.substr(0, second) + bytes.substr(third));
+
+  fabric::Coordinator::Options options;
+  options.shard_count = 2;
+  fabric::Coordinator coordinator(dir.string(), options);
+  const std::string what = runtime_error_of([&] { coordinator.pass(); });
+  EXPECT_NE(what.find("manifest '" + a + "'"), std::string::npos) << what;
+  EXPECT_FALSE(fs::exists(fabric::merged_results_path(a)));
+  EXPECT_FALSE(fs::exists(fabric::merged_results_path(a) + ".merge.tmp"));
+  EXPECT_EQ(slurp(fabric::merged_results_path(b)),
+            slurp(dir / "single.jsonl"));
 }
 
 TEST(Fabric, CoordinatorPinsEveryPlanFromOneCalibration) {

@@ -1,16 +1,19 @@
-// Tests for the (P4) solvers: Algorithm 1, the accelerated dual method, the
-// symmetric fast path, and the theoretical relationships of §VI (duality,
+// Tests for the (P4) solvers: the accelerated dual method, the symmetric
+// fast path, the paper's Algorithm 1 (kept here as a reference, it is not
+// part of the product), and the theoretical relationships of §VI (duality,
 // σ → 0 convergence to the oracle — Theorem 1's deterministic core), plus a
 // bit-exact golden of the heterogeneous solves and a concurrency guard for
 // a shared ExactGibbs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/executor.h"
@@ -27,6 +30,58 @@ using model::Mode;
 
 model::NodeSet paper_nodes(std::size_t n = 5) {
   return model::homogeneous(n, 10.0, 500.0, 500.0);
+}
+
+/// The paper's Algorithm 1: projected gradient on the dual with step
+/// δ_k = δ_0 / k, stopping when the relative KKT residual (budget
+/// violations everywhere, slackness where η_i is active) drops below
+/// `tolerance` or after `max_iterations`.
+P4Result algorithm1(const ExactGibbs& gibbs, std::size_t max_iterations,
+                    double tolerance, double delta0) {
+  const std::size_t n = gibbs.num_nodes();
+  const model::NodeSet& nodes = gibbs.nodes();
+  const auto kkt_residual = [&](const std::vector<double>& eta,
+                                const Marginals& m) {
+    double res = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double power = m.alpha[i] * nodes[i].listen_power +
+                           m.beta[i] * nodes[i].transmit_power;
+      const double rel = (power - nodes[i].budget) / nodes[i].budget;
+      res = std::max(res, rel);
+      if (eta[i] > 1e-14) res = std::max(res, std::abs(rel));
+    }
+    return res;
+  };
+  const auto finalize = [&](GibbsEvaluation& eval, const Marginals& m,
+                            std::size_t iterations, bool converged) {
+    P4Result out;
+    out.dual = gibbs.dual_value(eval);
+    out.eta = std::move(eval.eta);
+    out.alpha = m.alpha;
+    out.beta = m.beta;
+    out.throughput = m.expected_throughput;
+    out.objective = m.expected_throughput + gibbs.sigma() * m.entropy;
+    out.iterations = iterations;
+    out.converged = converged;
+    return out;
+  };
+  GibbsEvaluation eval;
+  eval.eta.assign(n, 0.0);
+  for (std::size_t k = 1; k <= max_iterations; ++k) {
+    gibbs.evaluate(eval.eta, eval);
+    const Marginals m = gibbs.marginals(eval);
+    if (kkt_residual(eval.eta, m) < tolerance)
+      return finalize(eval, m, k, true);
+    const double delta = delta0 / static_cast<double>(k);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double grad = nodes[i].budget -
+                          (m.alpha[i] * nodes[i].listen_power +
+                           m.beta[i] * nodes[i].transmit_power);
+      eval.eta[i] = std::max(0.0, eval.eta[i] - delta * grad);
+    }
+  }
+  gibbs.evaluate(eval.eta, eval);
+  return finalize(eval, gibbs.marginals(eval), max_iterations, false);
 }
 
 void expect_budget_respected(const model::NodeSet& nodes, const P4Result& r,
@@ -56,10 +111,7 @@ TEST(P4Solver, StrongDualityAtOptimum) {
 
 TEST(P4Solver, AcceleratedMatchesSymmetricOnHomogeneous) {
   const auto nodes = paper_nodes();
-  P4Options accel;
-  accel.method = P4Method::kAccelerated;
-  accel.tolerance = 1e-9;
-  const P4Result a = solve_p4(nodes, Mode::kGroupput, 0.5, accel);
+  const P4Result a = solve_p4(ExactGibbs(nodes, Mode::kGroupput, 0.5));
   const P4Result s = solve_p4(nodes, Mode::kGroupput, 0.5);
   ASSERT_TRUE(a.converged);
   EXPECT_NEAR(a.throughput, s.throughput, 1e-5);
@@ -71,12 +123,10 @@ TEST(P4Solver, Algorithm1MatchesAccelerated) {
   // converges slowly, so we compare multipliers (the throughput is steeply
   // sensitive to η near the optimum).
   const auto nodes = paper_nodes(3);
-  P4Options alg1;
-  alg1.method = P4Method::kAlgorithm1;
-  alg1.max_iterations = 100000;
-  alg1.tolerance = 1e-6;
-  alg1.delta0 = 1e-5;  // scaled to the µW unit system
-  const P4Result a = solve_p4(nodes, Mode::kGroupput, 0.5, alg1);
+  // δ_0 = 1e-5 is scaled to the µW unit system.
+  const P4Result a = algorithm1(ExactGibbs(nodes, Mode::kGroupput, 0.5),
+                                /*max_iterations=*/100000,
+                                /*tolerance=*/1e-6, /*delta0=*/1e-5);
   const P4Result b = solve_p4(nodes, Mode::kGroupput, 0.5);
   EXPECT_NEAR(a.eta[0], b.eta[0], 0.05 * b.eta[0]);
   EXPECT_NEAR(a.throughput, b.throughput, 0.3 * b.throughput);
@@ -179,6 +229,10 @@ TEST(P4Solver, RejectsBadInputs) {
 
 // ---------------------------------------------------------------- golden --
 
+/// How a golden row is solved: solve_p4 (the accelerated method on these
+/// heterogeneous networks) or the reference Algorithm 1 above.
+enum class Method { kSolveP4, kAlgorithm1 };
+
 // solve_p4 on three sampled N = 5 networks (h = 50, 170, 250 drawn in that
 // order from Rng(2016)), both modes, σ ∈ {0.25, 0.5}, plus one Algorithm 1
 // run that exhausts its iteration budget. Every double is pinned as a
@@ -190,7 +244,7 @@ struct Golden {
   double h;
   Mode mode;
   double sigma;
-  P4Method method;
+  Method method;
   std::array<double, 5> eta, alpha, beta;
   double throughput, objective, dual;
   std::size_t iterations;
@@ -198,7 +252,7 @@ struct Golden {
 };
 
 const Golden kGolden[] = {
-    {50, Mode::kGroupput, 0.25, P4Method::kAutomatic,
+    {50, Mode::kGroupput, 0.25, Method::kSolveP4,
      {0x1.70c65f2cc78c6p-9, 0x1.49f51c6337b62p-9, 0x1.2ffcbe301d9b3p-9,
       0x1.d95fa2416b9fp-9, 0x1.ee3ce805b9f19p-10},
      {0x1.89c6adbd7c3cdp-6, 0x1.8e9a8c4aa9c45p-6, 0x1.439aa296e1f5ep-5,
@@ -207,7 +261,7 @@ const Golden kGolden[] = {
       0x1.db24444724a7ep-9, 0x1.904c47aad4512p-5},
      0x1.afe85249a4db1p-4, 0x1.53fd7f8aa21a8p-2, 0x1.53fd7fab0e9f3p-2,
      119, true},
-    {50, Mode::kGroupput, 0.5, P4Method::kAutomatic,
+    {50, Mode::kGroupput, 0.5, Method::kSolveP4,
      {0x1.27754af8435fep-8, 0x1.0851996924ed2p-8, 0x1.e720a9518024dp-9,
       0x1.897e41926c1e1p-8, 0x1.994841654464bp-9},
      {0x1.659e8d07f8c28p-6, 0x1.6b44a01216207p-6, 0x1.21c0fe493d90cp-5,
@@ -216,7 +270,7 @@ const Golden kGolden[] = {
       0x1.146100e9725e9p-8, 0x1.9d3ec880c2dc9p-5},
      0x1.a03d4c7ebf2c8p-5, 0x1.2b98e03aed734p-1, 0x1.2b98e0315795p-1,
      126, true},
-    {50, Mode::kAnyput, 0.25, P4Method::kAutomatic,
+    {50, Mode::kAnyput, 0.25, Method::kSolveP4,
      {0x1.56c561c287932p-9, 0x1.32f29519c8cf3p-9, 0x1.1e1105ff76ba4p-9,
       0x1.b6b33d805965cp-9, 0x1.e00d99d5847c6p-10},
      {0x1.5a0ef9ec397afp-6, 0x1.5e857b875cb8ap-6, 0x1.2550a2e82f989p-5,
@@ -225,7 +279,7 @@ const Golden kGolden[] = {
       0x1.21a6a77621393p-8, 0x1.b20c5cd37c171p-5},
      0x1.508ac613e5c9ap-4, 0x1.4a698c5d062d6p-2, 0x1.4a698c4b9f288p-2,
      103, true},
-    {50, Mode::kAnyput, 0.5, P4Method::kAutomatic,
+    {50, Mode::kAnyput, 0.5, Method::kSolveP4,
      {0x1.2244c6c3d7f15p-8, 0x1.03b76d9b08defp-8, 0x1.df9a14e1a6f58p-9,
       0x1.82644e1040b1fp-8, 0x1.94805ba93a97cp-9},
      {0x1.5c834440ac1bcp-6, 0x1.6225dfdb1a652p-6, 0x1.1bb9d9fcaa83dp-5,
@@ -234,7 +288,7 @@ const Golden kGolden[] = {
       0x1.1f2d2f74ce7fdp-8, 0x1.a304987050708p-5},
      0x1.5fb24336adf6bp-5, 0x1.2a07b4b7349d9p-1, 0x1.2a07b4bb26e5ap-1,
      184, true},
-    {170, Mode::kGroupput, 0.25, P4Method::kAutomatic,
+    {170, Mode::kGroupput, 0.25, Method::kSolveP4,
      {0x1.64032abecb99ap-8, 0x1.ea5a722202829p-11, 0x1.0b6614ecc144fp-8,
       0x1.f860507c85bccp-9, 0x1.1a8670a9009ebp-8},
      {0x1.787d30c2ddea7p-9, 0x1.770d3091fc1aap-4, 0x1.215ee9d074235p-12,
@@ -243,7 +297,7 @@ const Golden kGolden[] = {
       0x1.a78c661d8b2b3p-11, 0x1.d1053fb4c386fp-14},
      0x1.5c281d8402b0ap-6, 0x1.a1d7cd5c53506p-3, 0x1.a1d7cd7d0c1dcp-3,
      1037, true},
-    {170, Mode::kGroupput, 0.5, P4Method::kAutomatic,
+    {170, Mode::kGroupput, 0.5, Method::kSolveP4,
      {0x1.26e2e28e21aa2p-7, 0x1.dcd5e910b5932p-10, 0x1.bcfddd4f12dbdp-8,
       0x1.8e7111e81798bp-8, 0x1.d058d331f9338p-8},
      {0x1.670f1b390c1f3p-9, 0x1.89089ad04ebd8p-4, 0x1.8b5a182054f8dp-12,
@@ -252,7 +306,7 @@ const Golden kGolden[] = {
       0x1.6008bb458c4f7p-10, 0x1.9093e6aee356dp-13},
      0x1.641a3492ebdf2p-7, 0x1.90e0c757b5d1ap-2, 0x1.90e0c778ab7cbp-2,
      987, true},
-    {170, Mode::kAnyput, 0.25, P4Method::kAutomatic,
+    {170, Mode::kAnyput, 0.25, Method::kSolveP4,
      {0x1.5cf8cd4f5cc32p-8, 0x1.eb39cfd098d4fp-11, 0x1.065e338fe9137p-8,
       0x1.f30e16450d706p-9, 0x1.14c892f69c1b8p-8},
      {0x1.758ae17261f1p-9, 0x1.75849e9f621fep-4, 0x1.27eb201f6d328p-12,
@@ -261,7 +315,7 @@ const Golden kGolden[] = {
       0x1.baa8f50421ca2p-11, 0x1.fc7a7613c8df8p-14},
      0x1.5505c66b25a51p-6, 0x1.a13398cff55bcp-3, 0x1.a13398f42f359p-3,
      1004, true},
-    {170, Mode::kAnyput, 0.5, P4Method::kAutomatic,
+    {170, Mode::kAnyput, 0.5, Method::kSolveP4,
      {0x1.25507bd3f2baap-7, 0x1.dcbcf83e12b74p-10, 0x1.bab2e53b87096p-8,
       0x1.8d479a6c7ff4dp-8, 0x1.cdcaa7e053edap-8},
      {0x1.663cf35e01262p-9, 0x1.88faa12b96041p-4, 0x1.8d856f2ce473ap-12,
@@ -270,7 +324,7 @@ const Golden kGolden[] = {
       0x1.633eff19d7405p-10, 0x1.984a1d3cacc99p-13},
      0x1.5867ed964951fp-7, 0x1.90bbfe592d848p-2, 0x1.90bbfe7eb470ep-2,
      950, true},
-    {250, Mode::kGroupput, 0.25, P4Method::kAutomatic,
+    {250, Mode::kGroupput, 0.25, Method::kSolveP4,
      {0x1.173ac278cbb3cp-8, 0x1.40993e2c487c7p-8, 0x1.d7d8eb485df37p-8,
       0x1.07f5cdf9df3ffp-8, 0x1.aa9bfe0c8e7ap-11},
      {0x1.b66f27858c1efp-12, 0x1.5a3abe64672cfp-5, 0x1.0c43b27eb736p-10,
@@ -279,7 +333,7 @@ const Golden kGolden[] = {
       0x1.f39881c81222p-15, 0x1.5354003928921p-3},
      0x1.3852c04ca5a9ep-4, 0x1.5332670c2df32p-2, 0x1.5332672e60002p-2,
      4031, true},
-    {250, Mode::kGroupput, 0.5, P4Method::kAutomatic,
+    {250, Mode::kGroupput, 0.5, Method::kSolveP4,
      {0x1.9babb27448b69p-8, 0x1.d59070595d902p-8, 0x1.8a1b8963244a7p-7,
       0x1.b6f3af91669fdp-8, 0x1.877177c585a8ep-10},
      {0x1.417a04ccca315p-10, 0x1.3fcfa600e2a0dp-5, 0x1.e8558a5ffe87ap-11,
@@ -288,7 +342,7 @@ const Golden kGolden[] = {
       0x1.c13fc9b88b9c9p-14, 0x1.5936335859ef8p-3},
      0x1.7e82f707dbd83p-5, 0x1.32c77c1d28456p-1, 0x1.32c77c30db9c8p-1,
      3945, true},
-    {250, Mode::kAnyput, 0.25, P4Method::kAutomatic,
+    {250, Mode::kAnyput, 0.25, Method::kSolveP4,
      {0x1.0cfc28c87107p-8, 0x1.37037ebaf4862p-8, 0x1.c78d682cbb166p-8,
       0x1.fc617e69317d9p-9, 0x1.ad1e3f10634d1p-11},
      {0x1.ff8ca8dbf9d12p-12, 0x1.55b30988dad5ap-5, 0x1.0123dd184dd07p-10,
@@ -297,7 +351,7 @@ const Golden kGolden[] = {
       0x1.3dab1a3ab90c2p-14, 0x1.5a322dc8f0d4bp-3},
      0x1.2d9a872c9efc3p-4, 0x1.511d3e64921a4p-2, 0x1.511d3e86fd326p-2,
      4100, true},
-    {250, Mode::kAnyput, 0.5, P4Method::kAutomatic,
+    {250, Mode::kAnyput, 0.5, Method::kSolveP4,
      {0x1.9644660de85c4p-8, 0x1.d0896a34e0fbfp-8, 0x1.85036383a0df8p-7,
       0x1.b0b60fc161b9cp-8, 0x1.867affdf700cep-10},
      {0x1.496dfe836e479p-10, 0x1.3d13929793c25p-5, 0x1.ddddf7ef93c71p-11,
@@ -306,7 +360,7 @@ const Golden kGolden[] = {
       0x1.e945915b28bd9p-14, 0x1.5b3eb5c824449p-3},
      0x1.6ac22dbdde97dp-5, 0x1.3231b16c7b42dp-1, 0x1.3231b181d4abcp-1,
      3893, true},
-    {170, Mode::kGroupput, 0.5, P4Method::kAlgorithm1,
+    {170, Mode::kGroupput, 0.5, Method::kAlgorithm1,
      {0x1.7b08365ddd301p-8, 0x1.fab738ebedd84p-10, 0x1.7561ca73d710bp-8,
       0x1.563f1de34d606p-8, 0x1.5ed1076fe0571p-8},
      {0x1.b1b158a2bd8a4p-6, 0x1.70bbd7dc4ca8dp-4, 0x1.908e4b82fb132p-10,
@@ -326,15 +380,12 @@ model::NodeSet golden_network(double h) {
   throw std::invalid_argument("no golden network for this h");
 }
 
-P4Options golden_options(const Golden& g) {
-  P4Options opt;
-  opt.method = g.method;
-  if (g.method == P4Method::kAlgorithm1) {
-    opt.max_iterations = 20000;
-    opt.tolerance = 1e-6;
-    opt.delta0 = 1e-5;
-  }
-  return opt;
+/// Solves a golden row's network on `gibbs`, built for that row.
+P4Result solve_golden(const Golden& g, const ExactGibbs& gibbs) {
+  if (g.method == Method::kAlgorithm1)
+    return algorithm1(gibbs, /*max_iterations=*/20000, /*tolerance=*/1e-6,
+                      /*delta0=*/1e-5);
+  return solve_p4(gibbs);
 }
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
@@ -371,15 +422,17 @@ P4Result as_result(const Golden& g) {
 std::string golden_label(const Golden& g) {
   return "h=" + std::to_string(g.h) + " " + model::to_string(g.mode) +
          " sigma=" + std::to_string(g.sigma) +
-         (g.method == P4Method::kAlgorithm1 ? " algorithm1" : "");
+         (g.method == Method::kAlgorithm1 ? " algorithm1" : "");
 }
 
 TEST(P4Solver, GoldenHeterogeneousSolvesAreBitExact) {
-  for (const Golden& g : kGolden)
-    expect_bits(as_result(g),
-                solve_p4(golden_network(g.h), g.mode, g.sigma,
-                         golden_options(g)),
-                golden_label(g));
+  for (const Golden& g : kGolden) {
+    const P4Result r =
+        g.method == Method::kAlgorithm1
+            ? solve_golden(g, ExactGibbs(golden_network(g.h), g.mode, g.sigma))
+            : solve_p4(golden_network(g.h), g.mode, g.sigma);
+    expect_bits(as_result(g), r, golden_label(g));
+  }
 }
 
 // ----------------------------------------------------------- concurrency --
@@ -398,7 +451,7 @@ TEST(P4Solver, SharedExactGibbsSolvesConcurrentlyBitExact) {
 
   std::vector<P4Result> serial;
   for (std::size_t c = 0; c < instances.size(); ++c) {
-    serial.push_back(solve_p4(instances[c], golden_options(kGolden[c])));
+    serial.push_back(solve_golden(kGolden[c], instances[c]));
     expect_bits(as_result(kGolden[c]), serial.back(),
                 golden_label(kGolden[c]));
   }
@@ -409,7 +462,7 @@ TEST(P4Solver, SharedExactGibbsSolvesConcurrentlyBitExact) {
       concurrent.size(),
       [&](std::size_t task) {
         const std::size_t c = task / kThreads;
-        concurrent[task] = solve_p4(instances[c], golden_options(kGolden[c]));
+        concurrent[task] = solve_golden(kGolden[c], instances[c]);
       },
       kThreads);
   for (std::size_t task = 0; task < concurrent.size(); ++task)

@@ -103,30 +103,6 @@ TEST(ProtocolAdapters, EconCastMatchesDirectSimulation) {
             static_cast<double>(expected.bursts));
 }
 
-TEST(ProtocolAdapters, PandaSimulationMatchesDetailedSimulation) {
-  protocol::PandaParams params;
-  params.optimize = false;
-  params.wake_rate = 0.01;
-  params.listen_window = 1.0;
-  params.simulate = true;
-  params.duration = 1e5;
-  const SimResult via_run =
-      protocol::run(protocol::panda_spec(params), paper_nodes(),
-                    model::Topology::clique(5), /*seed=*/5);
-  const baselines::PandaSimDetail d =
-      baselines::simulate_panda_detailed(5, 0.01, 1.0, 1e5, 5);
-  EXPECT_EQ(via_run.packets_sent, d.packets);
-  EXPECT_EQ(via_run.packets_received, d.receptions);
-  EXPECT_EQ(via_run.groupput, static_cast<double>(d.receptions) / 1e5);
-  ASSERT_EQ(via_run.avg_power.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i)
-    EXPECT_NEAR(via_run.avg_power[i],
-                (d.listen_time[i] * 500.0 + d.transmit_time[i] * 500.0) / 1e5,
-                1e-12);
-  EXPECT_GE(via_run.anyput * 1e5,
-            static_cast<double>(d.receptions) / 5.0);
-}
-
 TEST(ProtocolAdapters, PandaAnalyticMatchesOptimizer) {
   const SimResult via_run =
       protocol::run(protocol::panda_spec(), paper_nodes(),
@@ -138,22 +114,6 @@ TEST(ProtocolAdapters, PandaAnalyticMatchesOptimizer) {
   EXPECT_EQ(via_run.avg_power[0], design.power);
   EXPECT_EQ(via_run.extra("wake_rate"), design.wake_rate);
   EXPECT_EQ(via_run.extra("listen_window"), design.listen_window);
-}
-
-TEST(ProtocolAdapters, BirthdaySimulationMatchesDetailedSimulation) {
-  protocol::BirthdayParams params;
-  params.optimize = false;
-  params.p_transmit = 0.01;
-  params.p_listen = 0.01;
-  params.simulate = true;
-  params.slots = 200000;
-  const SimResult via_run =
-      protocol::run(protocol::birthday_spec(params), paper_nodes(),
-                    model::Topology::clique(5), /*seed=*/9);
-  const baselines::BirthdaySimDetail d =
-      baselines::simulate_birthday_detailed(5, 0.01, 0.01, 200000, 9);
-  EXPECT_EQ(via_run.groupput, d.groupput_credit / 200000.0);
-  EXPECT_EQ(via_run.anyput, d.anyput_credit / 200000.0);
 }
 
 TEST(ProtocolAdapters, BirthdayAnalyticMatchesOptimizer) {

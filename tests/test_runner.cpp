@@ -51,8 +51,9 @@ std::vector<Scenario> mixed_batch() {
   return batch;
 }
 
-/// A batch mixing four protocols — the paper's comparison setting
-/// (EconCast vs Panda vs Birthday under identical (N, ρ, L, X)).
+/// A batch mixing seeded and analytic protocols: EconCast (capture and
+/// non-capture), the testbed firmware at the eZ430's mW powers, and the
+/// (P4) analytic value.
 std::vector<Scenario> mixed_protocol_batch() {
   std::vector<Scenario> batch;
   const auto nodes = model::homogeneous(5, 10.0, 500.0, 500.0);
@@ -60,16 +61,18 @@ std::vector<Scenario> mixed_protocol_batch() {
 
   batch.push_back(small_scenario(5, model::Mode::kGroupput, 0.5));
 
-  protocol::PandaParams panda;
-  panda.simulate = true;
-  panda.duration = 5e4;
-  batch.push_back(Scenario{"panda", nodes, topo, protocol::panda_spec(panda)});
+  protocol::TestbedParams testbed;
+  testbed.duration_ms = 10.0 * 60.0 * 1000.0;
+  testbed.warmup_ms = 60.0 * 1000.0;
+  batch.push_back(Scenario{"testbed", model::homogeneous(5, 1.0, 52.2, 55.4),
+                           topo, protocol::testbed_spec(testbed)});
 
-  protocol::BirthdayParams birthday;
-  birthday.simulate = true;
-  birthday.slots = 50000;
-  batch.push_back(
-      Scenario{"birthday", nodes, topo, protocol::birthday_spec(birthday)});
+  proto::SimConfig non_capture;
+  non_capture.variant = proto::Variant::kNonCapture;
+  non_capture.duration = 2e4;
+  non_capture.warmup = 1e3;
+  batch.push_back(Scenario{"econcast-nc", nodes, topo,
+                           protocol::econcast_spec(non_capture)});
 
   batch.push_back(Scenario{"p4", nodes, topo,
                            protocol::p4_spec(model::Mode::kGroupput, 0.5)});
@@ -253,14 +256,15 @@ TEST(ScenarioRunner, ThreadCountDoesNotChangeResults) {
 }
 
 TEST(ScenarioRunner, MixedProtocolBatchBitIdenticalAcrossThreadCounts) {
-  // The acceptance bar for the protocol-agnostic API: econcast + panda +
-  // birthday (+ an analytic cell) in ONE batch must produce bit-identical
-  // per-scenario results and BatchSummary for 1, 2 and 8 threads.
+  // The acceptance bar for the protocol-agnostic API: econcast + testbed +
+  // a second econcast variant (+ an analytic cell) in ONE batch must
+  // produce bit-identical per-scenario results and BatchSummary for 1, 2
+  // and 8 threads.
   const std::vector<Scenario> batch = mixed_protocol_batch();
   const BatchResult one = ScenarioRunner(RunnerOptions{1, 42, true}).run(batch);
   ASSERT_EQ(one.results.size(), batch.size());
   EXPECT_GT(one.results[0].groupput, 0.0);  // econcast delivered
-  EXPECT_GT(one.results[1].packets_sent, 0u);  // panda transmitted
+  EXPECT_GT(one.results[1].packets_sent, 0u);  // testbed transmitted
   EXPECT_GT(one.results[3].groupput, 0.0);  // p4 analytic solved
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {

@@ -83,10 +83,12 @@ TEST(ProtocolJson, AllBuiltinSpecsRoundTrip) {
   panda.optimize = false;
   panda.wake_rate = 0.0125;
   panda.listen_window = 2.5;
-  panda.simulate = true;
 
   protocol::BirthdayParams birthday;
-  birthday.slots = (1ULL << 60) + 7;  // u64 string codec on the wire
+  birthday.mode = model::Mode::kAnyput;
+  birthday.optimize = false;
+  birthday.p_transmit = 0.015;
+  birthday.p_listen = 0.005;
 
   std::vector<protocol::ProtocolSpec> specs{
       protocol::econcast_spec(cfg),
@@ -124,6 +126,38 @@ TEST(ProtocolJson, RejectsUnknownAndMismatched) {
   EXPECT_THROW(protocol::spec_from_json(
                    json::parse(R"({"name":"carrier-pigeon","params":{}})")),
                json::Error);
+}
+
+TEST(ProtocolJson, RetiredSimulationMembersLoadOrAreRejected) {
+  // Panda and Birthday specs once selected a simulator with "simulate" and
+  // its horizon ("duration", "slots"). Files written then, like this fig3a
+  // protocol axis, carry "simulate": false and load as the analytic spec
+  // they always ran; "simulate": true is rejected by name, because ignoring
+  // it would swap a simulation for the analytic model.
+  const protocol::ProtocolSpec panda = protocol::spec_from_json(json::parse(
+      R"({"name": "panda", "seed": "1", "params": {"optimize": true,
+          "wake_rate": 0, "listen_window": 0, "simulate": false,
+          "duration": 1000000}})"));
+  EXPECT_EQ(json::dump(protocol::to_json(panda)),
+            json::dump(protocol::to_json(protocol::panda_spec())));
+  const protocol::ProtocolSpec birthday = protocol::spec_from_json(
+      json::parse(R"({"name": "birthday", "seed": "1", "params": {
+          "mode": "groupput", "optimize": true, "p_transmit": 0,
+          "p_listen": 0, "simulate": false, "slots": "1000000"}})"));
+  EXPECT_EQ(json::dump(protocol::to_json(birthday)),
+            json::dump(protocol::to_json(protocol::birthday_spec())));
+  for (const std::string name : {"panda", "birthday"}) {
+    SCOPED_TRACE(name);
+    try {
+      protocol::spec_from_json(json::parse(
+          R"({"name": ")" + name + R"(", "params": {"simulate": true}})"));
+      FAIL() << "expected json::Error";
+    } catch (const json::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("\"simulate\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------- SimResult round trip --
@@ -375,6 +409,24 @@ TEST(ManifestJson, RejectsUnknownNodeSetKinds) {
   }
 }
 
+TEST(ProtocolJson, RejectsHostileBurstCounts) {
+  // The burst count becomes a std::size_t: a negative, fractional or huge
+  // number is a named error, not a cast. Results lines and cache entries
+  // both decode through here.
+  for (const char* count : {"-1", "2.5", "1e300"}) {
+    SCOPED_TRACE(count);
+    try {
+      protocol::sim_result_from_json(json::parse(
+          std::string(R"({"burst_lengths": {"count": )") + count + "}}"));
+      FAIL() << "expected json::Error";
+    } catch (const json::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("burst_lengths count"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ProtocolJson, NonFiniteResultFieldsSurviveAsNull) {
   // A NaN/Inf metric must not abort the streaming checkpoint write: the
   // writer encodes non-finite doubles as null and the reader brings them
@@ -411,11 +463,7 @@ TEST(ProtocolJson, NonFiniteResultFieldsSurviveAsNull) {
                json::Error);
 }
 
-TEST(ManifestJson, CustomTopologyIsNotSerializable) {
-  runner::SweepSpec spec("custom");
-  spec.topology([](std::size_t n) { return model::Topology::line(n); });
-  EXPECT_EQ(spec.topology_kind(), "");
-  EXPECT_THROW(runner::to_json(spec), json::Error);
+TEST(ManifestJson, RejectsUnknownTopologyKind) {
   EXPECT_THROW(runner::SweepSpec("x").topology("moebius"),
                std::invalid_argument);
 }
@@ -708,6 +756,35 @@ TEST(SweepSession, RejectsResultsFromADifferentManifest) {
   EXPECT_THROW(
       runner::SweepSession(renamed, (dir / "r.jsonl").string()),
       std::runtime_error);
+}
+
+TEST(SweepSession, RejectsHostileIndices) {
+  // A checkpoint line whose index is negative, fractional or huge is a
+  // named error. Cast unchecked, 1e300 reads as index 0 on x86-64 and the
+  // line would be taken for cell 0.
+  const fs::path dir = test_dir();
+  const runner::SweepManifest manifest(small_sweep(), 7, true);
+  {
+    runner::SweepSession session(manifest, (dir / "good.jsonl").string());
+    session.run(1);
+  }
+  const std::string good = slurp(dir / "good.jsonl");
+  ASSERT_EQ(good.rfind("{\"index\":0,", 0), 0u) << good;
+  for (const char* index : {"-1", "0.5", "1e300"}) {
+    SCOPED_TRACE(index);
+    const fs::path path = dir / "hostile.jsonl";
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << "{\"index\":" << index << good.substr(good.find(','));
+    }
+    try {
+      runner::SweepSession session(manifest, path.string());
+      FAIL() << "expected json::Error";
+    } catch (const json::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("index"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SweepSession, ReseedOffUsesEmbeddedSeeds) {

@@ -1,11 +1,12 @@
 // Tests for the declarative sweep builder: cross-product size and order,
 // deterministic naming, cell_index round-trips, axis specialization of the
-// protocol parameters, custom topology/node-set hooks, and validation.
+// protocol parameters, named topology and node-set kinds, and validation.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runner/scenario_runner.h"
@@ -105,28 +106,6 @@ TEST(SweepSpec, AxesSpecializeProtocolParams) {
   const auto& p4 = std::get<protocol::P4Params>(batch[1].protocol.params);
   EXPECT_EQ(p4.mode, model::Mode::kAnyput);
   EXPECT_EQ(p4.sigma, 0.1);
-}
-
-TEST(SweepSpec, CustomTopologyAndNodeSetHooks) {
-  const SweepSpec sweep =
-      SweepSpec("hooks")
-          .node_counts({6})
-          .topology([](std::size_t n) {
-            return model::Topology::grid(2, n / 2);
-          })
-          .node_set([](std::size_t n, const runner::PowerPoint& p) {
-            model::NodeSet nodes =
-                model::homogeneous(n, p.budget, p.listen_power,
-                                   p.transmit_power);
-            nodes[0].budget *= 2.0;  // one richer node
-            return nodes;
-          });
-  const std::vector<Scenario> batch = sweep.expand();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_FALSE(batch[0].topology.is_clique());
-  EXPECT_EQ(batch[0].topology.size(), 6u);
-  EXPECT_EQ(batch[0].nodes[0].budget, 20.0);
-  EXPECT_EQ(batch[0].nodes[1].budget, 10.0);
 }
 
 TEST(SweepSpec, SampledNodeSetPairsNetworksAcrossCells) {
@@ -232,6 +211,24 @@ TEST(SweepSpec, EdgeListTopologyExpandsAndValidates) {
                std::invalid_argument);
 }
 
+TEST(SweepSpec, NamedTopologyKindsExpandToTheirGraphs) {
+  // Every cell's topology is built from the spec's named kind alone, on
+  // each node count of the axis.
+  const std::pair<const char*, model::Topology (*)(std::size_t)> kinds[] = {
+      {"clique", &model::Topology::clique},
+      {"line", &model::Topology::line},
+      {"ring", &model::Topology::ring},
+      {"grid", [](std::size_t n) { return model::Topology::grid(3, n / 3); }},
+  };
+  for (const auto& [kind, make] : kinds) {
+    SCOPED_TRACE(kind);
+    const std::vector<Scenario> batch =
+        SweepSpec("kinds").topology(kind).node_counts({9}).expand();
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0].topology.edges(), make(9).edges());
+  }
+}
+
 TEST(SweepSpec, GridValidationNamesTheOffendingCount) {
   SweepSpec sweep("g");
   sweep.topology("grid").node_counts({9, 7});
@@ -278,12 +275,12 @@ TEST(SweepSpec, ExpandedBatchRunsMixedProtocols) {
   proto::SimConfig cfg;
   cfg.duration = 1e4;
   cfg.warmup = 1e3;
-  protocol::BirthdayParams birthday;
-  birthday.simulate = true;
-  birthday.slots = 10000;
+  protocol::TestbedParams testbed;
+  testbed.duration_ms = 10.0 * 60.0 * 1000.0;
+  testbed.warmup_ms = 60.0 * 1000.0;
   const SweepSpec sweep = SweepSpec("mix")
                               .protocols({protocol::econcast_spec(cfg),
-                                          protocol::birthday_spec(birthday),
+                                          protocol::testbed_spec(testbed),
                                           protocol::oracle_spec(
                                               model::Mode::kGroupput)})
                               .node_counts({4})

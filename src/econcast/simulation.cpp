@@ -59,6 +59,7 @@ Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
   state_since_.assign(n, 0.0);
   listen_time_.assign(n, 0.0);
   transmit_time_.assign(n, 0.0);
+  interval_end_.assign(n, 0.0);  // set in run()
   eta_.assign(n, 0.0);
   wake_rate_.assign(n, 0.0);
   energy_.reserve(n);
@@ -178,7 +179,11 @@ void Simulation::schedule_transition(NodeId i) {
   // Re-sampling makes the node's pending transition / energy-guard event
   // obsolete. schedule() replaces a live slot's event in place, so only a
   // slot the new state leaves unused is cancelled — first, so that
-  // peak_live never counts an event that is about to go.
+  // peak_live never counts an event that is about to go. An event later
+  // than the node's pending interval end would be re-sampled there before
+  // it could pop, so its slot is cancelled too; the exponential is still
+  // drawn, which keeps the RNG stream. A draw exactly at the interval end
+  // is kept: from run(), it was entered first and wins the time tie.
   const bool idle = !channel_.busy_at(i);
   std::optional<double> guard_at;  // when to fire kEnergyDepleted, if armed
   double rate = 0.0;
@@ -216,13 +221,19 @@ void Simulation::schedule_transition(NodeId i) {
     case NodeState::kTransmit:
       break;  // bursts advance via packet-end events
   }
+  const double horizon = interval_end_[i];
+  if (guard_at && *guard_at > horizon) guard_at.reset();
   // rate <= 0: gated, waiting for a channel/interval wake-up.
-  const bool gated = rate <= 0.0;
+  std::optional<double> transition_at;
+  if (rate > 0.0) {
+    const double t = now_ + rng_.exponential(rate);
+    if (t <= horizon) transition_at = t;
+  }
   if (!guard_at) queue_.cancel(i, EventKind::kEnergyDepleted);
-  if (gated) queue_.cancel(i, EventKind::kTransition);
+  if (!transition_at) queue_.cancel(i, EventKind::kTransition);
   if (guard_at) queue_.schedule(*guard_at, EventKind::kEnergyDepleted, i);
-  if (!gated)
-    queue_.schedule(now_ + rng_.exponential(rate), EventKind::kTransition, i);
+  if (transition_at)
+    queue_.schedule(*transition_at, EventKind::kTransition, i);
 }
 
 void Simulation::resample_toggled() {
@@ -360,8 +371,14 @@ void Simulation::handle_interval_end(NodeId i) {
     rt.multiplier.update(level - rt.interval_start_level);
   rt.interval_start_level = level;
   refresh_eta(i);
-  queue_.push(now_ + rt.multiplier.next_interval_length(),
-              EventKind::kIntervalEnd, i);
+  interval_end_[i] = now_ + rt.multiplier.next_interval_length();
+  queue_.push(interval_end_[i], EventKind::kIntervalEnd, i);
+  // The new η changes the rates, so a node that is not transmitting
+  // re-samples both slots, whatever they hold. This unconditional re-sample
+  // is what makes schedule_transition's horizon rule exact: no transition
+  // or guard event past an interval end can pop before it. A transmitting
+  // node holds no such event (invalidate_transition) and re-samples when
+  // its burst ends.
   if (state_[i] != NodeState::kTransmit) schedule_transition(i);
 }
 
@@ -371,9 +388,10 @@ SimResult Simulation::run() {
   std::vector<double> consumed_at_warmup(n, 0.0);
 
   for (std::size_t i = 0; i < n; ++i) {
+    interval_end_[i] = nodes_rt_[i].multiplier.next_interval_length();
     schedule_transition(static_cast<NodeId>(i));
-    queue_.push(nodes_rt_[i].multiplier.next_interval_length(),
-                EventKind::kIntervalEnd, static_cast<NodeId>(i));
+    queue_.push(interval_end_[i], EventKind::kIntervalEnd,
+                static_cast<NodeId>(i));
   }
   bool warmup_snapshot_pending = config_.warmup > 0.0;
   if (warmup_snapshot_pending)

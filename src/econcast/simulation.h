@@ -15,6 +15,13 @@
 // counts, and the rate exponentials are memoized between η updates; the
 // memo entries are produced by the exact RateController expressions, so
 // caching never changes a result bit.
+//
+// Every interval end re-samples the node's transition and energy-guard
+// slots, so an event drawn for later than the node's pending interval end
+// could never pop. Such an event is drawn (the RNG stream is unchanged) but
+// never enters the queue. In a clique that covers most of the N - 1
+// re-samples each carrier toggle triggers; the events that do enter keep
+// their relative order, so every pop and every result bit is unchanged.
 #ifndef ECONCAST_ECONCAST_SIMULATION_H
 #define ECONCAST_ECONCAST_SIMULATION_H
 
@@ -198,6 +205,7 @@ class Simulation {
   std::vector<double> state_since_;
   std::vector<double> listen_time_;  // inside the measured window
   std::vector<double> transmit_time_;
+  std::vector<double> interval_end_;  // time of the pending kIntervalEnd
   std::vector<double> eta_;        // mirror of nodes_rt_[i].multiplier
   std::vector<double> wake_rate_;  // λ_sl(η) at idle; refreshed with η
   std::vector<double> tx_rate_;    // λ_lx(η, c) memo, row per node,

@@ -50,17 +50,16 @@ std::vector<Coordinator::SweepStatus> Coordinator::pass() {
   statuses.reserve(manifests.size());
   std::optional<runner::CostModel> model;
   // A manifest that cannot advance must not starve the ones sorted after
-  // it: every manifest gets its turn, then the first failure is rethrown.
-  std::string first_failure;
+  // it: its failure becomes its status, and the next manifest gets its turn.
   for (const std::string& path : manifests) {
     try {
       statuses.push_back(pass_manifest(path, model));
     } catch (const std::exception& e) {
-      if (first_failure.empty())
-        first_failure = "manifest '" + path + "': " + e.what();
+      SweepStatus& failed = statuses.emplace_back();
+      failed.manifest_path = path;
+      failed.error = e.what();
     }
   }
-  if (!first_failure.empty()) throw std::runtime_error(first_failure);
   return statuses;
 }
 

@@ -61,6 +61,9 @@ class Coordinator {
     std::size_t shards_reassigned = 0;  // stale claims released this pass
     bool plan_pinned = false;           // plan.json written this pass
     bool merged = false;                // merged file exists after this pass
+    /// Why the manifest failed this pass (unreadable, unmergeable, ...);
+    /// empty when it advanced. A failed status holds only manifest_path.
+    std::string error;
   };
 
   /// Throws std::invalid_argument for shard_count == 0.
@@ -69,10 +72,10 @@ class Coordinator {
   const std::string& spool_dir() const noexcept { return spool_dir_; }
 
   /// One scan over the spool (manifests in lexicographic order, so passes
-  /// are deterministic). Throws std::runtime_error when the spool directory
-  /// is missing. A manifest that fails (unreadable, unmergeable, ...) does
-  /// not stop the pass: every other manifest is still advanced, then the
-  /// pass throws std::runtime_error naming the first failed manifest.
+  /// are deterministic), returning one status per manifest. A manifest that
+  /// fails does not stop the pass: its status carries the message in
+  /// `error`, and every other manifest is still advanced. Throws
+  /// std::runtime_error only when the spool directory is missing.
   std::vector<SweepStatus> pass();
 
  private:

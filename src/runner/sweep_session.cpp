@@ -94,22 +94,30 @@ void SweepSession::load_existing() {
           std::to_string(cell_count()) + "-cell range [" +
           std::to_string(begin_) + ", " + std::to_string(end_) +
           ") of sweep '" + manifest_.spec.name() + "'");
-    const Value record = util::json::parse(line);
-    const Object& o = record.as_object();
-    const std::size_t recorded_index =
-        util::json::size_from_json(o.at("index"), "results line index");
-    const std::string& recorded_name = o.at("name").as_string();
-    const std::uint64_t recorded_seed =
-        util::json::u64_from_string(o.at("seed").as_string());
-    if (recorded_index != index || recorded_name != batch_[index].name ||
-        recorded_seed != cell_seed(index))
-      throw std::runtime_error(
-          "results file '" + results_path_ + "' line " +
-          std::to_string(completed_.size() + 1) +
-          " does not match sweep '" + manifest_.spec.name() + "' cell " +
-          std::to_string(index) + " ('" + batch_[index].name +
-          "'): the file belongs to a different manifest or shard");
-    completed_.push_back(protocol::sim_result_from_json(o.at("result")));
+    const auto where = [&] {
+      return "results file '" + results_path_ + "' line " +
+             std::to_string(completed_.size() + 1);
+    };
+    // A line that does not decode names its file and line; the mismatch
+    // below is a std::runtime_error and passes through unchanged.
+    try {
+      const Value record = util::json::parse(line);
+      const Object& o = record.as_object();
+      const std::size_t recorded_index =
+          util::json::size_from_json(o.at("index"), "results line index");
+      const std::string& recorded_name = o.at("name").as_string();
+      const std::uint64_t recorded_seed =
+          util::json::u64_from_string(o.at("seed").as_string());
+      if (recorded_index != index || recorded_name != batch_[index].name ||
+          recorded_seed != cell_seed(index))
+        throw std::runtime_error(
+            where() + " does not match sweep '" + manifest_.spec.name() +
+            "' cell " + std::to_string(index) + " ('" + batch_[index].name +
+            "'): the file belongs to a different manifest or shard");
+      completed_.push_back(protocol::sim_result_from_json(o.at("result")));
+    } catch (const util::json::Error& e) {
+      throw util::json::Error(where() + " is corrupt: " + e.what());
+    }
     good_bytes += line.size() + 1;
   }
   in.close();

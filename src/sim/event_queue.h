@@ -18,9 +18,12 @@
 // are 4i + 1 … 4i + 4. In a clique, carrier sense makes removals and
 // reschedules most of the heap's work — every burst start cancels the
 // pending transition of all N - 1 neighbours and every burst end
-// re-samples them — and a 4-ary sift crosses half the levels of a binary
-// one, at up to four comparisons per level among children that share a
-// cache line or two.
+// re-samples them. EconCast enters a re-sampled event only when it falls
+// at or before the node's next interval end (proto::Simulation), so most
+// of those re-samples never reach the heap and most of those cancels find
+// an empty slot. What does reach it pays a 4-ary sift, which crosses half
+// the levels of a binary one, at up to four comparisons per level among
+// children that share a cache line or two.
 //
 // `push()` enters a durable event that no cancellation affects. Durable
 // events come at a fixed delay — EconCast's interval ends at now + τ, which

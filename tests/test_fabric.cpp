@@ -852,9 +852,9 @@ TEST(Fabric, CoordinatorLeavesFreshClaimsAlone) {
 
 TEST(Fabric, CoordinatorAdvancesEveryManifestPastABrokenOne) {
   // A manifest that cannot merge must not starve the ones sorted after it:
-  // with two lines of a's shard 0 swapped, a pass still merges b to the
-  // single-process bytes, then throws naming a, and a's failed merge
-  // leaves no temp file behind.
+  // with two lines of a's shard 0 swapped, a pass reports a's error in a's
+  // status, still merges b to the single-process bytes and reports it
+  // merged, and a's failed merge leaves no temp file behind.
   const fs::path dir = test_dir();
   const runner::SweepManifest manifest = small_manifest();
   const std::string a = write_spool_manifest(dir, manifest, "a");
@@ -874,8 +874,16 @@ TEST(Fabric, CoordinatorAdvancesEveryManifestPastABrokenOne) {
   fabric::Coordinator::Options options;
   options.shard_count = 2;
   fabric::Coordinator coordinator(dir.string(), options);
-  const std::string what = runtime_error_of([&] { coordinator.pass(); });
-  EXPECT_NE(what.find("manifest '" + a + "'"), std::string::npos) << what;
+  const auto statuses = coordinator.pass();
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_EQ(statuses[0].manifest_path, a);
+  EXPECT_NE(statuses[0].error.find("shard results '" + shard0 + "' line 1"),
+            std::string::npos)
+      << statuses[0].error;
+  EXPECT_FALSE(statuses[0].merged);
+  EXPECT_EQ(statuses[1].manifest_path, b);
+  EXPECT_EQ(statuses[1].error, "");
+  EXPECT_TRUE(statuses[1].merged);
   EXPECT_FALSE(fs::exists(fabric::merged_results_path(a)));
   EXPECT_FALSE(fs::exists(fabric::merged_results_path(a) + ".merge.tmp"));
   EXPECT_EQ(slurp(fabric::merged_results_path(b)),

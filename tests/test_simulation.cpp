@@ -261,6 +261,7 @@ struct SimGolden {
   double groupput, anyput;
   std::uint64_t packets_sent, packets_received, bursts, corrupted_receptions,
       events_processed;
+  std::size_t latency_count;
   std::vector<double> avg_power, final_eta;
   std::uint64_t pushes, pops, cancels;
   std::size_t peak_live;
@@ -268,7 +269,10 @@ struct SimGolden {
 
 TEST(SimulationGolden, BitForBit) {
   // Any change to the event handling, the event order, the RNG draw order
-  // or the queue's accounting shows up here.
+  // or the queue's accounting shows up here. A transition or guard draw past
+  // the node's next interval end never enters the queue, because that
+  // interval end re-samples it before it could pop. Leaving such draws out
+  // lowered pushes, cancels and peak_live, and no other value here.
   //
   // (a) Grid with the energy guard: brown-outs exercise the kEnergyDepleted
   // slot, and the warmup snapshot (a kCustom push at t = 0) ties in time
@@ -287,32 +291,77 @@ TEST(SimulationGolden, BitForBit) {
   // scaled down so the unscaled step δ_k keeps η near σ/L).
   SimConfig theorem1 = base_config(0.5, 4e4, 3);
   theorem1.multiplier.schedule = StepSchedule::kTheorem1;
+  // (d) The N = 25 capture-groupput clique under the Fig. 6 guard at
+  // σ = 0.75, as perfbench's cache-replay fills it: most re-samples after a
+  // carrier toggle draw past the node's interval end.
+  SimConfig clique25 = base_config(0.75, 1e6, 25);
+  clique25.warmup = 4e5;
+  clique25.energy_guard = true;
+  clique25.initial_energy = 5e5;
+  // (e) Non-capture groupput ring with per-node frozen multipliers: hidden
+  // terminals corrupt receptions, and interval ends re-sample without
+  // moving η.
+  SimConfig ring = base_config(0.5, 1e5, 6);
+  ring.variant = Variant::kNonCapture;
+  ring.adapt_multiplier = false;
+  ring.eta_init = {0.0035, 0.004, 0.0045, 0.005, 0.0055, 0.006};
   const SimGolden goldens[] = {
       {"grid3x3-guard", paper_nodes(9), model::Topology::grid(3, 3), grid,
        0x1.758e219652bd4p-7, 0x1.758e219652bd4p-7, 1423, 228, 35, 2, 10700,
+       15,
        {0x1.078267842ba65p+3, 0x1.f98f575462139p+2, 0x1.f534fd3fafed6p+2,
         0x1.0cec8e4b93c6ap+3, 0x1.0bf5e88a7bafbp+3, 0x1.f430c43f87696p+2,
         0x1.097a0786a64e4p+3, 0x1.0a48e4688e69cp+3, 0x1.df1cad27ac168p+2},
        {0x1.3f014c255d92dp-8, 0x1.238b095b82c83p-8, 0x1.2f48836eb303cp-8,
         0x1.3dcbed0cb0936p-8, 0x1.35c40702df864p-8, 0x1.1c747f114972ap-8,
         0x1.33d7515499a03p-8, 0x1.46a166eb6f718p-8, 0x1.1fb09998779eep-8},
-       21988, 10700, 11270, 21},
+       11274, 10700, 560, 17},
       {"clique6-noncapture-anyput", paper_nodes(6),
        model::Topology::clique(6), noncapture, 0x1.0cccccccccccdp-6,
-       0x1.0cccccccccccdp-6, 1847, 525, 525, 0, 14537,
+       0x1.0cccccccccccdp-6, 1847, 525, 525, 0, 14537, 94,
        {0x1.47e37023dc275p+3, 0x1.3dc9279b2b6p+3, 0x1.3c3628bf8112dp+3,
         0x1.3b86366ae55aep+3, 0x1.33b9cc37207d7p+3, 0x1.45e83bec1fcc3p+3},
        {0x1.51663036f99ffp-8, 0x1.36c5c7dc1c086p-8, 0x1.2ada5fbed262cp-8,
         0x1.1eae1a121173fp-8, 0x1.37fc6b8238f74p-8, 0x1.4e7ebc948ccf4p-8},
-       33697, 14537, 19148, 13},
+       19521, 14537, 4976, 13},
       {"clique5-theorem1", model::homogeneous(5, 0.01, 0.5, 0.5),
        model::Topology::clique(5), theorem1, 0x1.816a7ef9db22dp+1,
-       0x1.fbdf3b645a1cbp-1, 31801, 96354, 305, 0, 42735,
+       0x1.fbdf3b645a1cbp-1, 31801, 96354, 305, 0, 42735, 207,
        {0x1.bba44fedf15ddp-2, 0x1.9638400639a7dp-2, 0x1.838e792c92b96p-2,
         0x1.8b91a230df014p-2, 0x1.a77ddea032fc6p-2},
        {0x1.6ef60431c08dap-2, 0x1.b0dc6f5e621e9p-2, 0x1.e7f3a182c8334p-2,
         0x1.825b9ad4422c9p-1, 0x1.72fb1ace52d0fp-1},
-       44830, 42735, 2089, 11},
+       44791, 42735, 2050, 11},
+      {"clique25-fig6-guard", paper_nodes(25), model::Topology::clique(25),
+       clique25, 0x1.21981221b249p-3, 0x1.abb7cd19b2112p-4, 131757, 84842,
+       12775, 0, 1117903, 8416,
+       {0x1.4482774183d84p+3, 0x1.3c05dca3f6fe4p+3, 0x1.447f982b643aep+3,
+        0x1.451fa858239f7p+3, 0x1.407547dec1ceap+3, 0x1.3dab5ce3176a3p+3,
+        0x1.3318b4dc1ede7p+3, 0x1.419fc1c012c7bp+3, 0x1.4051b82d92cdep+3,
+        0x1.3618f4a8b1929p+3, 0x1.3de7b3dfa4b38p+3, 0x1.3c926b32c21dep+3,
+        0x1.3f8462bd5bdd5p+3, 0x1.3f849ebb7228bp+3, 0x1.3f6c1a3dc1adbp+3,
+        0x1.40979e1da529cp+3, 0x1.3cfc0243fdec1p+3, 0x1.3440b226408e6p+3,
+        0x1.3e11a8e3960d6p+3, 0x1.4019617ee8268p+3, 0x1.40ae70a352c08p+3,
+        0x1.4085e75add7dep+3, 0x1.32a2e5af477bdp+3, 0x1.40b6e4f0d32e3p+3,
+        0x1.4108a082873f1p+3},
+       {0x1.8ed38f1c10796p-7, 0x1.ccf96fd7ff4b9p-8, 0x1.8da44e7353f0ap-7,
+        0x1.95cef6edf242cp-7, 0x1.c996dba7b87ap-8, 0x1.bc7d740706e75p-8,
+        0x1.d6f51fad40609p-8, 0x1.2924676ef374dp-7, 0x1.15307569efe81p-7,
+        0x1.ea96cd29531c7p-8, 0x1.c88bd0a1535dcp-8, 0x1.92e006f5f1079p-8,
+        0x1.e4d61eb79350ap-8, 0x1.e1e1b00b7d87dp-8, 0x1.090715e577e72p-7,
+        0x1.dc6d8e792ecb4p-8, 0x1.3a34ff09d59ap-7, 0x1.f46f8d02cfedcp-8,
+        0x1.553c4c23a95a1p-7, 0x1.bc84386a905abp-8, 0x1.caf01e8692a8ep-8,
+        0x1.4084e7ea82bacp-7, 0x1.02249ea89bc6p-7, 0x1.f3bb27312acbap-8,
+        0x1.08720bcd5b98fp-7},
+       1622861, 1117903, 504927, 51},
+      {"ring6-noncapture-frozen", paper_nodes(6), model::Topology::ring(6),
+       ring, 0x1.b089a02752546p-7, 0x1.9b3d07c84b5ddp-7, 6652, 1056, 1004,
+       22, 42027, 200,
+       {0x1.049f110d8fb09p+5, 0x1.558833eadf311p+4, 0x1.cb42d04048ef2p+3,
+        0x1.d11e968858505p+2, 0x1.3018b6144abb5p+2, 0x1.7173f7ae18e9bp+1},
+       {0x1.cac083126e979p-9, 0x1.0624dd2f1a9fcp-8, 0x1.26e978d4fdf3bp-8,
+        0x1.47ae147ae147bp-8, 0x1.6872b020c49bap-8, 0x1.89374bc6a7efap-8},
+       47119, 42027, 5084, 12},
   };
   for (const SimGolden& g : goldens) {
     SCOPED_TRACE(g.name);
@@ -324,10 +373,12 @@ TEST(SimulationGolden, BitForBit) {
     EXPECT_EQ(r.bursts, g.bursts);
     EXPECT_EQ(r.corrupted_receptions, g.corrupted_receptions);
     EXPECT_EQ(r.events_processed, g.events_processed);
+    EXPECT_EQ(r.latencies.count(), g.latency_count);
     EXPECT_EQ(r.avg_power, g.avg_power);
     EXPECT_EQ(r.final_eta, g.final_eta);
     EXPECT_EQ(r.queue_stats.pushes, g.pushes);
     EXPECT_EQ(r.queue_stats.pops, g.pops);
+    EXPECT_EQ(r.queue_stats.pops, r.events_processed);
     EXPECT_EQ(r.queue_stats.cancels, g.cancels);
     EXPECT_EQ(r.queue_stats.peak_live, g.peak_live);
   }

@@ -787,6 +787,62 @@ TEST(SweepSession, RejectsHostileIndices) {
   }
 }
 
+/// The json::Error message of opening `manifest` against a results file
+/// whose line `line_no` (1-based) of `good` is replaced by `bad`.
+std::string corrupt_line_error(const runner::SweepManifest& manifest,
+                               const fs::path& path, const std::string& good,
+                               std::size_t line_no, const std::string& bad) {
+  std::istringstream lines(good);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::string line;
+  for (std::size_t i = 1; std::getline(lines, line); ++i)
+    out << (i == line_no ? bad : line) << '\n';
+  out.close();
+  try {
+    runner::SweepSession session(manifest, path.string());
+  } catch (const json::Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected json::Error";
+  return "";
+}
+
+TEST(SweepSession, CorruptLineWithoutNameNamesFileAndLine) {
+  const fs::path dir = test_dir();
+  const runner::SweepManifest manifest(small_sweep(), 7, true);
+  runner::SweepSession(manifest, (dir / "good.jsonl").string()).run(2);
+  const std::string good = slurp(dir / "good.jsonl");
+  const std::string first = good.substr(0, good.find('\n'));
+  const std::size_t name = first.find(",\"name\":");
+  const std::size_t seed = first.find(",\"seed\":");
+  ASSERT_NE(name, std::string::npos);
+  ASSERT_NE(seed, std::string::npos);
+  const fs::path path = dir / "corrupt.jsonl";
+  EXPECT_EQ(corrupt_line_error(manifest, path, good, 1,
+                               first.substr(0, name) + first.substr(seed)),
+            "results file '" + path.string() +
+                "' line 1 is corrupt: json: missing key 'name'");
+}
+
+TEST(SweepSession, CorruptIndexNamesFileAndLine) {
+  const fs::path dir = test_dir();
+  const runner::SweepManifest manifest(small_sweep(), 7, true);
+  runner::SweepSession(manifest, (dir / "good.jsonl").string()).run(2);
+  const std::string good = slurp(dir / "good.jsonl");
+  const std::size_t second = good.find('\n') + 1;
+  const std::string line =
+      good.substr(second, good.find('\n', second) - second);
+  ASSERT_EQ(line.rfind("{\"index\":1,", 0), 0u) << line;
+  const fs::path path = dir / "corrupt.jsonl";
+  const std::string what = corrupt_line_error(
+      manifest, path, good, 2, "{\"index\":-1" + line.substr(line.find(',')));
+  EXPECT_EQ(what.rfind("results file '" + path.string() +
+                           "' line 2 is corrupt: results line index",
+                       0),
+            0u)
+      << what;
+}
+
 TEST(SweepSession, ReseedOffUsesEmbeddedSeeds) {
   const fs::path dir = test_dir();
   proto::SimConfig cfg;

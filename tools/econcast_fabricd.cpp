@@ -14,8 +14,10 @@
 // and restarted freely. `--once` runs a single pass and exits: the
 // deterministic mode CI drives step by step.
 //
-// Exit codes match econcast_sweep: 0 ok, 1 runtime failure (a pass threw;
-// rerunning may succeed), 2 usage.
+// Each pass prints one status line per healthy manifest on stdout and one
+// error per failed manifest on stderr. Exit codes match econcast_sweep:
+// 0 ok, 1 runtime failure (a manifest or the pass failed; rerunning may
+// succeed), 2 usage.
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -112,12 +114,17 @@ int main(int argc, char** argv) {
   if (spool_dir.empty()) usage(argv[0]);
 
   fabric::Coordinator coordinator(spool_dir, options);
-  do {
+  for (;;) {
+    bool failed = false;
     try {
-      const std::vector<fabric::Coordinator::SweepStatus> statuses =
-          coordinator.pass();
-      if (!quiet) {
-        for (const auto& s : statuses) {
+      for (const auto& s : coordinator.pass()) {
+        if (!s.error.empty()) {
+          failed = true;
+          std::fprintf(stderr,
+                       "econcast_fabricd: spool '%s': manifest '%s': %s\n",
+                       spool_dir.c_str(), s.manifest_path.c_str(),
+                       s.error.c_str());
+        } else if (!quiet) {
           std::printf(
               "%s: %zu/%zu cells, %zu/%zu shards complete, %zu claimed, "
               "%zu reassigned%s%s\n",
@@ -126,17 +133,16 @@ int main(int argc, char** argv) {
               s.shards_reassigned, s.plan_pinned ? ", plan pinned" : "",
               s.merged ? ", merged" : "");
         }
-        std::fflush(stdout);
       }
+      std::fflush(stdout);
     } catch (const std::exception& e) {
+      failed = true;
       std::fprintf(stderr, "econcast_fabricd: spool '%s': %s\n",
                    spool_dir.c_str(), e.what());
-      if (once) return kExitRuntime;
-      // Daemon mode rides out transient failures (a manifest still being
-      // copied in, NFS hiccups) and retries next pass.
     }
-    if (!once)
-      std::this_thread::sleep_for(std::chrono::seconds(interval_seconds));
-  } while (!once);
-  return kExitOk;
+    // Daemon mode rides out transient failures (a manifest still being
+    // copied in, NFS hiccups) and retries next pass.
+    if (once) return failed ? kExitRuntime : kExitOk;
+    std::this_thread::sleep_for(std::chrono::seconds(interval_seconds));
+  }
 }

@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,9 @@
 namespace {
 
 using namespace econcast;
+
+// The event-queue benches pop unconditionally.
+constexpr double kNoLimit = std::numeric_limits<double>::infinity();
 
 void BM_StateSpaceEnumeration(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -112,11 +116,11 @@ BENCHMARK(BM_OracleGroupputLP)->Arg(5)->Arg(25)->Arg(100);
 // the timing loop, and pre-filled to its steady-state population — so the
 // measured region is pure queue ops rather than allocator churn. Each push
 // lands at the popped time plus an exponential gap, which is not the
-// simulator's loop: its durable kinds come at a fixed delay (interval ends
-// at now + τ, packet ends at now + 1), so every such push joins its kind's
-// FIFO lane. A random-gap push joins the lane only when it is not earlier
-// than the lane's tail and enters the heap otherwise, so here the pushes
-// split between a lane and the heap.
+// simulator's loop: its durable kinds come at a fixed delay (the multiplier
+// boundary at now + τ, packet ends at now + 1), so every such push joins
+// its kind's FIFO lane. A random-gap push joins the lane only when it is
+// not earlier than the lane's tail and enters the heap otherwise, so here
+// the pushes split between a lane and the heap.
 void BM_EventQueuePushPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t live = 4 * n;
@@ -133,9 +137,10 @@ void BM_EventQueuePushPop(benchmark::State& state) {
            static_cast<std::uint32_t>(i % n));
 
   double acc = 0.0;
+  sim::Event e;
   for (auto _ : state) {
     for (std::size_t i = 0; i < live; ++i) {
-      const sim::Event e = q.pop();
+      q.pop_until(kNoLimit, e);
       acc += e.time;
       q.push(e.time + gaps[g++ & kGapMask], e.kind, e.node);
     }
@@ -164,6 +169,7 @@ void BM_EventQueueScheduleCancel(benchmark::State& state) {
   sim::EventQueue q;
   q.reserve_for_nodes(n);
   double now = 0.0;
+  sim::Event e;
   std::size_t g = 0;
   for (std::size_t i = 0; i < n; ++i)
     q.schedule(gaps[g++ & kGapMask], sim::EventKind::kTransition,
@@ -172,7 +178,7 @@ void BM_EventQueueScheduleCancel(benchmark::State& state) {
   for (auto _ : state) {
     for (std::size_t i = 0; i < n; ++i) {
       // A transition fires...
-      const sim::Event e = q.pop();
+      q.pop_until(kNoLimit, e);
       now = e.time;
       q.schedule(now + gaps[g++ & kGapMask], sim::EventKind::kTransition,
                  e.node);

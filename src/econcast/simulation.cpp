@@ -59,7 +59,6 @@ Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
   state_since_.assign(n, 0.0);
   listen_time_.assign(n, 0.0);
   transmit_time_.assign(n, 0.0);
-  interval_end_.assign(n, 0.0);  // set in run()
   eta_.assign(n, 0.0);
   wake_rate_.assign(n, 0.0);
   energy_.reserve(n);
@@ -180,10 +179,11 @@ void Simulation::schedule_transition(NodeId i) {
   // obsolete. schedule() replaces a live slot's event in place, so only a
   // slot the new state leaves unused is cancelled — first, so that
   // peak_live never counts an event that is about to go. An event later
-  // than the node's pending interval end would be re-sampled there before
-  // it could pop, so its slot is cancelled too; the exponential is still
-  // drawn, which keeps the RNG stream. A draw exactly at the interval end
-  // is kept: from run(), it was entered first and wins the time tie.
+  // than the pending boundary would be re-sampled there before it could
+  // pop, so its slot is cancelled too; the exponential is still drawn,
+  // which keeps the RNG stream. A draw exactly at the boundary is kept; it
+  // was entered after the boundary, so the boundary pops first and
+  // re-samples it (see run()).
   const bool idle = !channel_.busy_at(i);
   std::optional<double> guard_at;  // when to fire kEnergyDepleted, if armed
   double rate = 0.0;
@@ -221,13 +221,12 @@ void Simulation::schedule_transition(NodeId i) {
     case NodeState::kTransmit:
       break;  // bursts advance via packet-end events
   }
-  const double horizon = interval_end_[i];
-  if (guard_at && *guard_at > horizon) guard_at.reset();
+  if (guard_at && *guard_at > interval_end_) guard_at.reset();
   // rate <= 0: gated, waiting for a channel/interval wake-up.
   std::optional<double> transition_at;
   if (rate > 0.0) {
     const double t = now_ + rng_.exponential(rate);
-    if (t <= horizon) transition_at = t;
+    if (t <= interval_end_) transition_at = t;
   }
   if (!guard_at) queue_.cancel(i, EventKind::kEnergyDepleted);
   if (!transition_at) queue_.cancel(i, EventKind::kTransition);
@@ -364,22 +363,32 @@ void Simulation::handle_energy_guard(NodeId i) {
   }
 }
 
-void Simulation::handle_interval_end(NodeId i) {
-  NodeRuntime& rt = nodes_rt_[i];
-  const double level = energy_.level(i, now_);
-  if (config_.adapt_multiplier)
-    rt.multiplier.update(level - rt.interval_start_level);
-  rt.interval_start_level = level;
-  refresh_eta(i);
-  interval_end_[i] = now_ + rt.multiplier.next_interval_length();
-  queue_.push(interval_end_[i], EventKind::kIntervalEnd, i);
+void Simulation::handle_interval_end() {
+  const std::size_t n = nodes_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    NodeRuntime& rt = nodes_rt_[i];
+    const double level = energy_.level(i, now_);
+    if (config_.adapt_multiplier)
+      rt.multiplier.update(level - rt.interval_start_level);
+    rt.interval_start_level = level;
+    refresh_eta(static_cast<NodeId>(i));
+  }
+  // node_multiplier_config varies only δ and η_0, so every tracker runs the
+  // same τ schedule and has finished as many intervals as node 0's.
+  interval_end_ = now_ + nodes_rt_.front().multiplier.next_interval_length();
+  queue_.push(interval_end_, EventKind::kIntervalEnd, 0);
   // The new η changes the rates, so a node that is not transmitting
   // re-samples both slots, whatever they hold. This unconditional re-sample
   // is what makes schedule_transition's horizon rule exact: no transition
-  // or guard event past an interval end can pop before it. A transmitting
-  // node holds no such event (invalidate_transition) and re-samples when
-  // its burst ends.
-  if (state_[i] != NodeState::kTransmit) schedule_transition(i);
+  // or guard event past a boundary can pop before it. A transmitting node
+  // holds no such event (invalidate_transition) and re-samples when its
+  // burst ends. A re-sample reads only the node's own η memo, state, energy
+  // and listener count and the updates draw no random numbers, so updating
+  // every node before re-sampling any gives the draws of handling each
+  // node's interval end in turn.
+  for (std::size_t i = 0; i < n; ++i)
+    if (state_[i] != NodeState::kTransmit)
+      schedule_transition(static_cast<NodeId>(i));
 }
 
 SimResult Simulation::run() {
@@ -387,18 +396,30 @@ SimResult Simulation::run() {
   metrics_.start_measurement(config_.warmup);
   std::vector<double> consumed_at_warmup(n, 0.0);
 
-  for (std::size_t i = 0; i < n; ++i) {
-    interval_end_[i] = nodes_rt_[i].multiplier.next_interval_length();
+  // The first boundary enters the queue before the first draws. Ties with
+  // a boundary at time T then resolve as they did when every node had its
+  // own interval end:
+  // - A transition or guard event at exactly T was entered after the
+  //   boundary, because the horizon rule keeps every earlier entry at or
+  //   before the previous boundary. The boundary pops first and re-samples
+  //   it, as the node's own interval end did.
+  // - Durable events (packet ends, the warmup snapshot) are never pushed
+  //   while a boundary is handled, so they keep their order against it.
+  // The one tie that per-node interval ends, each pushed after its node's
+  // first draw, would resolve differently is a first draw landing exactly
+  // on τ_1: it would pop before its node's interval end, where the boundary
+  // re-samples it. That needs -log(1 - u)/λ to equal τ_1 to the last bit,
+  // at most about one chance in 10^14 per node per run.
+  interval_end_ = nodes_rt_.front().multiplier.next_interval_length();
+  queue_.push(interval_end_, EventKind::kIntervalEnd, 0);
+  for (std::size_t i = 0; i < n; ++i)
     schedule_transition(static_cast<NodeId>(i));
-    queue_.push(interval_end_[i], EventKind::kIntervalEnd,
-                static_cast<NodeId>(i));
-  }
   bool warmup_snapshot_pending = config_.warmup > 0.0;
   if (warmup_snapshot_pending)
     queue_.push(config_.warmup, EventKind::kCustom, 0);
 
-  while (!queue_.empty() && queue_.top().time <= config_.duration) {
-    const sim::Event e = queue_.pop();
+  sim::Event e;
+  while (queue_.pop_until(config_.duration, e)) {
     now_ = e.time;
     ++events_processed_;
     switch (e.kind) {
@@ -409,7 +430,8 @@ SimResult Simulation::run() {
         handle_packet_end(e.node);
         break;
       case EventKind::kIntervalEnd:
-        handle_interval_end(e.node);
+        handle_interval_end();
+        events_processed_ += n - 1;  // one boundary ends N intervals
         break;
       case EventKind::kEnergyDepleted:
         handle_energy_guard(e.node);

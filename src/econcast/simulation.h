@@ -16,12 +16,15 @@
 // memo entries are produced by the exact RateController expressions, so
 // caching never changes a result bit.
 //
-// Every interval end re-samples the node's transition and energy-guard
-// slots, so an event drawn for later than the node's pending interval end
-// could never pop. Such an event is drawn (the RNG stream is unchanged) but
-// never enters the queue. In a clique that covers most of the N - 1
-// re-samples each carrier toggle triggers; the events that do enter keep
-// their relative order, so every pop and every result bit is unchanged.
+// Every node runs the same τ schedule (§V-F; Theorem 1's τ_k = k advances in
+// lockstep), so the multiplier intervals of all nodes end together: one
+// kIntervalEnd per boundary updates every node's η in node order, then
+// re-samples the transition and energy-guard slots of every node that is
+// not transmitting. An event drawn for later than the pending boundary
+// could therefore never pop. Such an event is drawn (the RNG stream is
+// unchanged) but never enters the queue. In a clique that covers most of
+// the N - 1 re-samples each carrier toggle triggers; the events that do
+// enter keep their relative order, so every result bit is unchanged.
 #ifndef ECONCAST_ECONCAST_SIMULATION_H
 #define ECONCAST_ECONCAST_SIMULATION_H
 
@@ -106,8 +109,9 @@ struct SimResult {
   std::uint64_t packets_received = 0;
   std::uint64_t bursts = 0;
   std::uint64_t corrupted_receptions = 0;
-  /// Events handled by the main loop (cancelled events never reach it;
-  /// they are counted in queue_stats.cancels).
+  /// Events handled by the main loop, counting a multiplier boundary once
+  /// per node: queue_stats.pops + (N - 1) × boundaries. Cancelled events
+  /// never reach it; they are counted in queue_stats.cancels.
   std::uint64_t events_processed = 0;
 
   /// Event-queue instrumentation (always collected — it is a handful of
@@ -150,7 +154,7 @@ class Simulation {
   // Event handlers.
   void fire_transition(sim::NodeId i);
   void handle_packet_end(sim::NodeId i);
-  void handle_interval_end(sim::NodeId i);
+  void handle_interval_end();
   void handle_energy_guard(sim::NodeId i);
 
   // State machinery.
@@ -194,6 +198,7 @@ class Simulation {
   util::Rng rng_;
 
   double now_ = 0.0;
+  double interval_end_ = 0.0;  // time of the pending boundary (kIntervalEnd)
   sim::EventQueue queue_;
   sim::Channel channel_;
   sim::MetricsCollector metrics_;
@@ -205,7 +210,6 @@ class Simulation {
   std::vector<double> state_since_;
   std::vector<double> listen_time_;  // inside the measured window
   std::vector<double> transmit_time_;
-  std::vector<double> interval_end_;  // time of the pending kIntervalEnd
   std::vector<double> eta_;        // mirror of nodes_rt_[i].multiplier
   std::vector<double> wake_rate_;  // λ_sl(η) at idle; refreshed with η
   std::vector<double> tx_rate_;    // λ_lx(η, c) memo, row per node,

@@ -120,23 +120,23 @@ const Event& EventQueue::top() const {
   return k < kEventKindCount ? lanes_[k].front() : heap_.front();
 }
 
-Event EventQueue::pop() {
-  if (empty()) throw std::logic_error("pop from empty EventQueue");
+bool EventQueue::pop_until(double limit, Event& out) {
   if (const std::size_t k = earliest_lane(); k < kEventKindCount) {
     Lane& lane = lanes_[k];
-    const Event event = lane.front();
+    if (lane.front().time > limit) return false;
+    out = lane.front();
     lane.head = (lane.head + 1) & (lane.ring.size() - 1);
     --lane.count;
     --lane_events_;
-    ++stats_.pops;
-    return event;
+  } else {
+    if (heap_.empty() || heap_.front().time > limit) return false;
+    out = heap_.front();
+    if (out.cancellable)
+      position_[slot_index(out.node, out.kind)] = kNoPosition;
+    remove_at(0);
   }
-  const Event event = heap_.front();
-  if (event.cancellable)
-    position_[slot_index(event.node, event.kind)] = kNoPosition;
-  remove_at(0);
   ++stats_.pops;
-  return event;
+  return true;
 }
 
 }  // namespace econcast::sim

@@ -184,8 +184,8 @@ TestbedResult run_testbed(const TestbedConfig& cfg) {
   queue.push(cfg.warmup_ms, sim::EventKind::kCustom, 0);
 
   // --- main loop -----------------------------------------------------------
-  while (!queue.empty() && queue.top().time <= cfg.duration_ms) {
-    const sim::Event e = queue.pop();
+  sim::Event e;
+  while (queue.pop_until(cfg.duration_ms, e)) {
     now = e.time;
     const NodeId i = e.node;
     switch (e.kind) {

@@ -88,8 +88,9 @@ PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
   int transmitter = -1;
 
   // A node has at most one pending timer in its kTransition slot: the
-  // wake-up while asleep, the window expiry while listening. Scheduling the
-  // next wake-up therefore replaces a pending expiry.
+  // wake-up while asleep, the window expiry while listening (none while
+  // locked onto a packet). Scheduling the next wake-up therefore replaces
+  // a pending expiry.
   sim::EventQueue q;
   q.reserve_for_nodes(n);
   double now = 0.0;
@@ -108,8 +109,8 @@ PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
     state_since[i] = now;
   };
 
-  while (!q.empty() && q.top().time <= duration) {
-    const sim::Event e = q.pop();
+  sim::Event e;
+  while (q.pop_until(duration, e)) {
     now = e.time;
     const std::size_t i = e.node;
     if (e.kind == EventKind::kPacketEnd) {
@@ -131,15 +132,22 @@ PandaSimDetail simulate_panda_detailed(std::size_t n, double wake_rate,
       set_state(i, S::kListen);
       q.schedule(now + listen_window, EventKind::kTransition, e.node);
     } else if (transmitter >= 0) {  // window expired mid-packet
-      // Woke into an ongoing packet it cannot decode: abort and sleep.
+      // Woke into an ongoing packet it cannot decode (a locked listener has
+      // no expiry): abort and sleep.
       set_state(i, S::kSleep);
       schedule_wake(i);
     } else {  // window expired on an idle channel
       set_state(i, S::kTransmit);
       transmitter = static_cast<int>(i);
       ++result.packets;
-      for (std::size_t j = 0; j < n; ++j)
-        if (state[j] == S::kListen) locked[j] = 1;  // hears packet start
+      // A listener that hears the packet start locks onto it: its window
+      // expiry is cancelled, so it listens to the packet end, which is
+      // what the analytic (w/2 + 1)L receive charge assumes.
+      for (std::size_t j = 0; j < n; ++j) {
+        if (state[j] != S::kListen) continue;
+        locked[j] = 1;
+        q.cancel(static_cast<sim::NodeId>(j), EventKind::kTransition);
+      }
       q.push(now + 1.0, EventKind::kPacketEnd, e.node);
     }
   }
@@ -299,21 +307,21 @@ TEST(Panda, SimGoldenBitForBit) {
   ASSERT_EQ(d.wake_rate, 0x1.6079eacb07b3ap-7);
   ASSERT_EQ(d.listen_window, 0x1.e86f6b650751cp-1);
   const PandaGolden goldens[] = {
-      {5, d.wake_rate, d.listen_window, 3e6, 21, 151276, 6129, 6036,
-       {0x1.d1c6cfdc1bb35p+14, 0x1.d5352c6c3929ep+14, 0x1.d592cb8eccdb3p+14,
-        0x1.d78a7fe5688b1p+14, 0x1.da9b1201e8abep+14},
-       {0x1.d37p+14, 0x1.d7dp+14, 0x1.d848p+14, 0x1.da68p+14, 0x1.ddcp+14}},
-      {12, 0.02, 0.6, 2e5, 7, 38510, 5004, 4701,
-       {0x1.24f237b5d0c73p+11, 0x1.27c10327fee28p+11, 0x1.203054a8fe52p+11,
-        0x1.22b5860b1ca1ep+11, 0x1.25c5db941ac31p+11, 0x1.24ed24a9a54fcp+11,
-        0x1.266ceac2ff58ap+11, 0x1.27cda9243b6ccp+11, 0x1.20826cbf1c1adp+11,
-        0x1.28bb14f5f4edep+11, 0x1.20bc1789db5d3p+11, 0x1.20d333333aaa3p+11},
-       {0x1.9a6p+11, 0x1.99p+11, 0x1.888p+11, 0x1.8e6p+11, 0x1.8fp+11,
-        0x1.908p+11, 0x1.932p+11, 0x1.94ap+11, 0x1.8c2p+11, 0x1.9a6p+11,
-        0x1.8a8p+11, 0x1.8b4p+11}},
-      {3, 0.05, 2.5, 1e5, 5, 10497, 2424, 2288,
-       {0x1.44d01ede3c4eap+13, 0x1.40d0464a3e12p+13, 0x1.4a7c2edfc33d2p+13},
-       {0x1.b2ep+11, 0x1.af4p+11, 0x1.bep+11}},
+      {5, d.wake_rate, d.listen_window, 3e6, 21, 151252, 6098, 6014,
+       {0x1.dd65cbeeb0ac2p+14, 0x1.dc48b46b415cfp+14, 0x1.e45ebe7bfbf01p+14,
+        0x1.dfdb3b6637ac4p+14, 0x1.e1947742e34ffp+14},
+       {0x1.d72cp+14, 0x1.d4p+14, 0x1.dd18p+14, 0x1.d9p+14, 0x1.da0cp+14}},
+      {12, 0.02, 0.6, 2e5, 7, 38225, 5101, 4766,
+       {0x1.596dd407783abp+11, 0x1.4a4105da477f2p+11, 0x1.4cddf932210a2p+11,
+        0x1.463027d251adap+11, 0x1.4490e84aed7a1p+11, 0x1.52e8b22f46116p+11,
+        0x1.3fdf8daf9f73p+11, 0x1.3c258c8486216p+11, 0x1.490547d98ccbap+11,
+        0x1.45b548c15e674p+11, 0x1.3fe72ae209bc1p+11, 0x1.50087281eb3acp+11},
+       {0x1.a6ap+11, 0x1.98ap+11, 0x1.904p+11, 0x1.8d2p+11, 0x1.888p+11,
+        0x1.94ep+11, 0x1.826p+11, 0x1.74ap+11, 0x1.90ep+11, 0x1.89p+11,
+        0x1.85ep+11, 0x1.996p+11}},
+      {3, 0.05, 2.5, 1e5, 5, 10492, 2467, 2315,
+       {0x1.4ef14dc713348p+13, 0x1.4b2e2e5f8398ap+13, 0x1.469a0086cbea5p+13},
+       {0x1.bf2p+11, 0x1.b28p+11, 0x1.adep+11}},
   };
   for (const PandaGolden& g : goldens) {
     SCOPED_TRACE("n=" + std::to_string(g.n) + " seed=" +

@@ -1,13 +1,14 @@
-// The event queue: ordering, cancellation semantics, counter accounting,
-// the shared reserve_for_nodes capacity policy, and a randomized
-// differential test against a trivially correct eager-deletion model of the
-// same contract (std::map keyed on (time, seq)).
+// The event queue: ordering, cancellation semantics, the bounded pop,
+// counter accounting, the shared reserve_for_nodes capacity policy, and a
+// randomized differential test against a trivially correct eager-deletion
+// model of the same contract (std::map keyed on (time, seq)).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -25,6 +26,16 @@ using sim::Event;
 using sim::EventKind;
 using sim::EventQueue;
 
+constexpr double kNoLimit = std::numeric_limits<double>::infinity();
+
+/// Pops the earliest event with no time limit; fails the test when the
+/// queue refuses.
+Event pop_next(EventQueue& q) {
+  Event e;
+  EXPECT_TRUE(q.pop_until(kNoLimit, e)) << "pop from an empty queue";
+  return e;
+}
+
 // ------------------------------------------------------------------ basics --
 
 TEST(EventQueue, OrdersByTimeThenSeq) {
@@ -33,10 +44,10 @@ TEST(EventQueue, OrdersByTimeThenSeq) {
   q.push(1.0, EventKind::kPacketEnd, 1);
   q.push(2.0, EventKind::kIntervalEnd, 2);
   q.push(1.0, EventKind::kTransition, 3);  // ties pop in push order
-  EXPECT_EQ(q.pop().node, 1u);
-  EXPECT_EQ(q.pop().node, 3u);
-  EXPECT_EQ(q.pop().node, 2u);
-  EXPECT_EQ(q.pop().node, 0u);
+  EXPECT_EQ(pop_next(q).node, 1u);
+  EXPECT_EQ(pop_next(q).node, 3u);
+  EXPECT_EQ(pop_next(q).node, 2u);
+  EXPECT_EQ(pop_next(q).node, 0u);
   EXPECT_TRUE(q.empty());
 }
 
@@ -60,9 +71,9 @@ TEST(EventQueue, CancelAccounting) {
   q.push(4.0, EventKind::kPacketEnd, 0);
   expect_accounted(q);
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_DOUBLE_EQ(q.pop().time, 2.0);
+  EXPECT_DOUBLE_EQ(pop_next(q).time, 2.0);
   expect_accounted(q);
-  EXPECT_DOUBLE_EQ(q.pop().time, 4.0);
+  EXPECT_DOUBLE_EQ(pop_next(q).time, 4.0);
   expect_accounted(q);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.stats().pushes, 4u);
@@ -71,17 +82,79 @@ TEST(EventQueue, CancelAccounting) {
   EXPECT_EQ(q.stats().peak_live, 2u);
 }
 
-TEST(EventQueue, EmptyPopAndTopThrow) {
+TEST(EventQueue, EmptyPopRefusesAndTopThrows) {
   EventQueue q;
-  EXPECT_THROW(q.pop(), std::logic_error);
+  Event e;
+  EXPECT_FALSE(q.pop_until(kNoLimit, e));
   EXPECT_THROW(q.top(), std::logic_error);
   // A fully cancelled queue is empty too.
   q.schedule(1.0, EventKind::kTransition, 0);
   q.cancel(0, EventKind::kTransition);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
-  EXPECT_THROW(q.pop(), std::logic_error);
+  EXPECT_FALSE(q.pop_until(kNoLimit, e));
+  EXPECT_EQ(q.stats().pops, 0u);
   EXPECT_EQ(q.stats().cancels, 1u);
+}
+
+/// Every QueueStats counter, compared as a whole.
+void expect_same_stats(const sim::QueueStats& a, const sim::QueueStats& b) {
+  EXPECT_EQ(a.pushes, b.pushes);
+  EXPECT_EQ(a.pops, b.pops);
+  EXPECT_EQ(a.cancels, b.cancels);
+  EXPECT_EQ(a.peak_live, b.peak_live);
+}
+
+TEST(EventQueue, BoundedPopTakesOnlyDueEvents) {
+  // The earliest event sits in a lane, in the heap, and in a lane tied in
+  // time with the heap top, entered before it and after it; each is
+  // refused below its time and popped at it. A refused pop leaves size(),
+  // top() and every counter as they were.
+  EventQueue q;
+  q.push(2.0, EventKind::kPacketEnd, 0);       // lane front
+  q.schedule(3.0, EventKind::kTransition, 1);  // heap top
+  q.push(4.0, EventKind::kIntervalEnd, 2);     // lane front, ties ...
+  q.schedule(4.0, EventKind::kTransition, 3);  // ... with the heap top
+  q.schedule(5.0, EventKind::kTransition, 4);  // heap top, ties ...
+  q.push(5.0, EventKind::kIntervalEnd, 5);     // ... with the lane front
+  const auto refuse_below = [&q](double time, std::uint32_t node) {
+    const sim::QueueStats before = q.stats();
+    const std::size_t size = q.size();
+    Event e;
+    EXPECT_FALSE(q.pop_until(std::nextafter(time, 0.0), e));
+    EXPECT_EQ(q.size(), size);
+    EXPECT_EQ(q.top().node, node);
+    expect_same_stats(q.stats(), before);
+  };
+  const auto pop_at = [&q](double time, std::uint32_t node) {
+    const std::uint64_t pops = q.stats().pops;
+    Event e;
+    ASSERT_TRUE(q.pop_until(time, e));
+    EXPECT_EQ(e.node, node);
+    EXPECT_EQ(e.time, time);
+    EXPECT_EQ(q.stats().pops, pops + 1);
+    expect_accounted(q);
+  };
+  refuse_below(2.0, 0);
+  pop_at(2.0, 0);
+  refuse_below(3.0, 1);
+  pop_at(3.0, 1);
+  // A tie goes to whichever was entered first.
+  refuse_below(4.0, 2);
+  pop_at(4.0, 2);
+  refuse_below(4.0, 3);
+  pop_at(4.0, 3);
+  refuse_below(5.0, 4);
+  pop_at(5.0, 4);
+  refuse_below(5.0, 5);
+  pop_at(5.0, 5);
+  // The heap slots were freed by the pops: a cancel finds nothing.
+  q.cancel(3, EventKind::kTransition);
+  EXPECT_EQ(q.stats().cancels, 0u);
+  EXPECT_TRUE(q.empty());
+  Event e;
+  EXPECT_FALSE(q.pop_until(kNoLimit, e));
+  EXPECT_EQ(q.stats().pops, 6u);
 }
 
 TEST(EventQueue, TopIsConstAndRepeatable) {
@@ -95,7 +168,7 @@ TEST(EventQueue, TopIsConstAndRepeatable) {
   EXPECT_DOUBLE_EQ(view.top().time, 2.0);
   EXPECT_EQ(view.size(), 2u);
   EXPECT_EQ(view.stats().pops, 0u);
-  EXPECT_DOUBLE_EQ(q.pop().time, 2.0);
+  EXPECT_DOUBLE_EQ(pop_next(q).time, 2.0);
   EXPECT_DOUBLE_EQ(view.top().time, 3.0);
   EXPECT_EQ(q.stats().pops, 1u);
 }
@@ -106,8 +179,8 @@ TEST(EventQueue, CancelInvalidatesOnlyItsSlot) {
   q.schedule(2.0, EventKind::kEnergyDepleted, 4);
   q.schedule(3.0, EventKind::kTransition, 5);
   q.cancel(4, EventKind::kTransition);
-  EXPECT_EQ(q.pop().kind, EventKind::kEnergyDepleted);
-  EXPECT_EQ(q.pop().node, 5u);
+  EXPECT_EQ(pop_next(q).kind, EventKind::kEnergyDepleted);
+  EXPECT_EQ(pop_next(q).node, 5u);
   EXPECT_TRUE(q.empty());
 }
 
@@ -116,7 +189,7 @@ TEST(EventQueue, DurablePushIsNotCancellable) {
   q.push(1.0, EventKind::kPacketEnd, 4);
   q.cancel(4, EventKind::kPacketEnd);
   ASSERT_FALSE(q.empty());
-  EXPECT_EQ(q.pop().kind, EventKind::kPacketEnd);
+  EXPECT_EQ(pop_next(q).kind, EventKind::kPacketEnd);
 }
 
 TEST(EventQueue, ReserveForNodesAppliesSharedPolicy) {
@@ -128,8 +201,8 @@ TEST(EventQueue, ReserveForNodesAppliesSharedPolicy) {
   q.schedule(2.0, EventKind::kCustom, 99);
   q.schedule(1.0, EventKind::kTransition, 250);
   q.cancel(400, EventKind::kTransition);  // never scheduled: a no-op
-  EXPECT_EQ(q.pop().node, 250u);
-  EXPECT_EQ(q.pop().node, 99u);
+  EXPECT_EQ(pop_next(q).node, 250u);
+  EXPECT_EQ(pop_next(q).node, 99u);
   EXPECT_EQ(q.stats().cancels, 0u);
 }
 
@@ -148,9 +221,9 @@ TEST(EventQueue, ReschedulesStoreOnlyLiveEvents) {
   EXPECT_EQ(q.size(), n + 1u);
   EXPECT_EQ(q.stats().peak_live, n + 1u);
   expect_accounted(q);
-  EXPECT_DOUBLE_EQ(q.pop().time, 0.5);
+  EXPECT_DOUBLE_EQ(pop_next(q).time, 0.5);
   for (std::uint32_t node = 0; node < n; ++node) {
-    const Event e = q.pop();
+    const Event e = pop_next(q);
     EXPECT_EQ(e.node, node);  // last-scheduled round, ascending times
     EXPECT_DOUBLE_EQ(e.time, 1e9 + static_cast<double>(3999 * n + node));
   }
@@ -163,7 +236,7 @@ TEST(EventQueue, ManySimultaneousEventsPopInPushOrder) {
   EventQueue q;
   for (std::uint32_t i = 0; i < 500; ++i)
     q.push(42.0, EventKind::kTransition, i);
-  for (std::uint32_t i = 0; i < 500; ++i) EXPECT_EQ(q.pop().node, i);
+  for (std::uint32_t i = 0; i < 500; ++i) EXPECT_EQ(pop_next(q).node, i);
   EXPECT_TRUE(q.empty());
 }
 
@@ -183,7 +256,7 @@ TEST(EventQueue, EqualTimesPopInSeqOrderAcrossLanesAndHeap) {
   EXPECT_EQ(q.size(), 8u);
   for (const std::uint32_t node : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 6u}) {
     EXPECT_EQ(q.top().node, node);
-    const Event e = q.pop();
+    const Event e = pop_next(q);
     EXPECT_EQ(e.node, node);
     EXPECT_DOUBLE_EQ(e.time, node == 6u ? 9.0 : 5.0);
   }
@@ -201,7 +274,7 @@ TEST(EventQueue, FarFutureOutliersDoNotDisturbNearOrder) {
   }
   double last = 0.0;
   for (int i = 0; i < 64; ++i) {
-    const Event e = q.pop();
+    const Event e = pop_next(q);
     EXPECT_TRUE(e.node < 64u || e.node == 9999u);  // never a far outlier
     EXPECT_GE(e.time, last);
     last = e.time;
@@ -210,7 +283,7 @@ TEST(EventQueue, FarFutureOutliersDoNotDisturbNearOrder) {
   std::size_t remaining = q.size();
   EXPECT_EQ(remaining, 128u);  // 64 far + 64 near packet-ends
   while (!q.empty()) {
-    const Event e = q.pop();
+    const Event e = pop_next(q);
     EXPECT_GE(e.time, last);
     last = e.time;
   }
@@ -249,22 +322,50 @@ class DifferentialHarness {
   /// returns the popped time.
   double pop() { return pop_event().time; }
 
-  /// pop(), returning the whole event. When either side is empty it records
-  /// a failure and pops neither.
+  /// pop(), returning the whole event.
   Event pop_event() {
-    if (queue_.empty() || model_.empty()) {
-      ADD_FAILURE() << "pop with " << queue_.size() << " queued and "
-                    << model_.size() << " modelled events";
-      return Event{};
+    Event e;
+    if (!pop_until(kNoLimit, e)) ADD_FAILURE() << "pop from an empty queue";
+    return e;
+  }
+
+  /// The bounded pop on both sides: the queue must hand out the model's
+  /// earliest event exactly when its time is at most `limit`, and otherwise
+  /// leave size(), top() and every counter unchanged. Returns whether both
+  /// popped.
+  bool pop_until(double limit, Event& out) {
+    const sim::QueueStats before = queue_.stats();
+    const bool due = !model_.empty() && model_.begin()->first.first <= limit;
+    const bool popped = queue_.pop_until(limit, out);
+    EXPECT_EQ(popped, due) << "limit " << limit << ", earliest "
+                           << earliest();
+    if (popped && due) {
+      const Event b = model_.begin()->second;
+      model_.erase(model_.begin());
+      if (b.cancellable) scheduled_.erase({b.node, b.kind});
+      expect_same(out, b);
+      ++pops_;
+    } else if (!popped) {
+      expect_same_stats(queue_.stats(), before);
     }
-    const Event a = queue_.pop();
-    const Event b = model_.begin()->second;
-    model_.erase(model_.begin());
-    if (b.cancellable) scheduled_.erase({b.node, b.kind});
-    expect_same(a, b);
-    ++pops_;
     check();
-    return a;
+    return popped && due;
+  }
+
+  /// A bounded pop whose limit is the earliest time's predecessor, that
+  /// time itself, or a packet-time past it, for `r` in [0, 1/3), [1/3, 2/3)
+  /// and [2/3, 1).
+  bool pop_near(double r, Event& out) {
+    const double t = earliest();
+    const double limit = r < 1.0 / 3.0   ? std::nextafter(t, -kNoLimit)
+                         : r < 2.0 / 3.0 ? t
+                                         : t + 1.0;
+    return pop_until(limit, out);
+  }
+
+  /// The model's earliest time; infinity when it is empty.
+  double earliest() const {
+    return model_.empty() ? kNoLimit : model_.begin()->first.first;
   }
 
   bool empty() {
@@ -335,6 +436,7 @@ TEST(EventQueueDifferential, SimLikeMonotoneWorkload) {
   // The simulator's pattern: time only moves forward, pushes land at
   // now + gap with wildly mixed scales (packet ends at +1, sleepers far
   // out), schedules replace pending transitions, occasional bare cancels.
+  // Pops are bounded, with limits below, at and above the earliest time.
   for (const std::uint64_t seed : {1u, 7u, 23u, 1234u}) {
     util::Rng rng(seed);
     DifferentialHarness q;
@@ -355,7 +457,8 @@ TEST(EventQueueDifferential, SimLikeMonotoneWorkload) {
       } else if (r < 0.55) {
         q.cancel(node, random_kind(rng));
       } else if (!q.empty()) {
-        now = q.pop();
+        Event e;
+        if (q.pop_near(rng.uniform(), e)) now = e.time;
       }
     }
     q.drain_and_compare();
@@ -364,7 +467,8 @@ TEST(EventQueueDifferential, SimLikeMonotoneWorkload) {
 
 TEST(EventQueueDifferential, AdversarialOutOfOrderPushes) {
   // Not a pattern the simulators produce: pushes earlier than the last
-  // popped time, dense ties, and cancel storms.
+  // popped time, dense ties, and cancel storms. Pops are bounded, with
+  // limits below, at and above the earliest time.
   for (const std::uint64_t seed : {3u, 99u, 4321u}) {
     util::Rng rng(seed);
     DifferentialHarness q;
@@ -384,7 +488,8 @@ TEST(EventQueueDifferential, AdversarialOutOfOrderPushes) {
       } else if (r < 0.65) {
         q.cancel(node, random_kind(rng));
       } else if (!q.empty()) {
-        q.pop();
+        Event e;
+        q.pop_near(rng.uniform(), e);
       }
     }
     q.drain_and_compare();
@@ -406,12 +511,13 @@ TEST(EventQueueDifferential, BurstsOfSimultaneousSchedules) {
 }
 
 TEST(EventQueueDifferential, SimulatorLanePattern) {
-  // The simulator's durable traffic: interval ends at k·τ that all N nodes
-  // share, packet ends at now + 1 (bursts continue packet by packet, and
-  // several transmitters can end at once), with transitions scheduled,
-  // replaced, cancelled and popped in between. Node 0's interval clock
-  // drifts (the testbed's per-node periods), and now and then a packet end
-  // lands earlier than its lane's tail: both take the heap path.
+  // The testbed's durable traffic: per-node interval ends at k·τ, N of
+  // them at each boundary (EconCast has one boundary event for all nodes),
+  // packet ends at now + 1 (bursts continue packet by packet, and several
+  // transmitters can end at once), with transitions scheduled, replaced,
+  // cancelled and popped in between. Node 0's interval clock drifts (the
+  // testbed's per-node periods), and now and then a packet end lands
+  // earlier than its lane's tail: both take the heap path.
   const double tau = 50.0;
   for (const std::uint64_t seed : {2u, 17u, 808u}) {
     util::Rng rng(seed);
@@ -522,9 +628,12 @@ TEST(EventQueueInSimulation, CountersReconcile) {
   cfg.initial_energy = 1e4;
   const proto::SimResult r =
       proto::Simulation(nodes, model::Topology::grid(3, 3), cfg).run();
-  // Every event the main loop handled was popped, and every push was either
+  // One pop handles a whole boundary, which events_processed counts once
+  // per node; every other handled event is one pop. Every push was either
   // handled or cancelled (events past the horizon stay in the queue).
-  EXPECT_EQ(r.queue_stats.pops, r.events_processed);
+  const auto boundaries =
+      static_cast<std::uint64_t>(cfg.duration / cfg.multiplier.tau);
+  EXPECT_EQ(r.events_processed, r.queue_stats.pops + 8 * boundaries);
   EXPECT_GE(r.queue_stats.pushes,
             r.queue_stats.pops + r.queue_stats.cancels);
   EXPECT_GT(r.queue_stats.cancels, 0u);

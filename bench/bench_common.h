@@ -4,7 +4,9 @@
 // reproduction can be eyeballed in one pass. The sweep-shaped benches
 // additionally emit their sweeps as JSON manifests and execute them through
 // runner::SweepSession (progress on stderr, tables on stdout), so every
-// figure doubles as an `econcast_sweep`-runnable data file.
+// figure doubles as an `econcast_sweep`-runnable data file. The benches that
+// run their cells directly write the cells' full results into the same
+// directory (write_results), so low-bit changes the tables round away show.
 #ifndef ECONCAST_BENCH_BENCH_COMMON_H
 #define ECONCAST_BENCH_BENCH_COMMON_H
 
@@ -12,14 +14,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "protocol/protocol_json.h"
 #include "runner/scenario_runner.h"
 #include "runner/sweep_session.h"
+#include "util/json.h"
 
 namespace econcast::bench {
 
@@ -120,6 +126,31 @@ inline std::string manifest_dir(const Args& args, const char* default_name) {
     dir = (std::filesystem::temp_directory_path() / default_name).string();
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// Writes "<dir>/<name>.results.jsonl", one dump(line) per cell in batch
+/// order. The JSON writer prints every double at round-trip precision, so
+/// the file pins the bits the printed tables round away. Throws
+/// std::runtime_error when the write fails.
+inline void write_results(const std::string& dir, const std::string& name,
+                          const std::vector<util::json::Value>& lines) {
+  const std::string path = dir + "/" + name + ".results.jsonl";
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  for (const util::json::Value& line : lines)
+    out << util::json::dump(line) << '\n';
+  out.flush();
+  if (!out)
+    throw std::runtime_error("cannot write results file '" + path + "'");
+}
+
+/// The same for a ScenarioRunner batch: one protocol::to_json line per cell.
+inline void write_results(const std::string& dir, const std::string& name,
+                          const std::vector<protocol::SimResult>& results) {
+  std::vector<util::json::Value> lines;
+  lines.reserve(results.size());
+  for (const protocol::SimResult& r : results)
+    lines.push_back(protocol::to_json(r));
+  write_results(dir, name, lines);
 }
 
 /// Progress hook for the long sweeps: "[label] done/total name" on stderr

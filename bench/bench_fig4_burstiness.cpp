@@ -5,7 +5,8 @@
 //
 // The simulated markers (8 independent simulations) run in parallel through
 // runner::ScenarioRunner; per-scenario seeds derive from one base seed, so
-// the printed numbers are independent of the host's core count.
+// the printed numbers are independent of the host's core count. Their full
+// results go to <--manifest-dir>/fig4.results.jsonl.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -42,7 +43,8 @@ runner::Scenario marker_scenario(std::size_t n, model::Mode mode, double sigma,
 int main(int argc, char** argv) {
   using namespace econcast;
   // sim duration = scale * 1e6
-  const long scale = bench::Args(argc, argv).knob(4);
+  const bench::Args args(argc, argv, {"--manifest-dir="});
+  const long scale = args.knob(4);
   bench::banner("Figure 4", "average burst length vs sigma (rho=10uW, L=X=500uW)");
 
   const double marker_sigmas[] = {0.25, 0.5};
@@ -60,6 +62,8 @@ int main(int argc, char** argv) {
   }
   const runner::ScenarioRunner pool({/*num_threads=*/0, /*base_seed=*/4242});
   const runner::BatchResult run = pool.run(batch);
+  bench::write_results(bench::manifest_dir(args, "econcast-fig4"), "fig4",
+                       run.results);
 
   // Batch index of a marker, mirroring the construction order above.
   const std::size_t n_sigmas = std::size(marker_sigmas);

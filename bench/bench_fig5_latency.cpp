@@ -6,7 +6,8 @@
 //
 // The eight (mode, N, σ) cells run in parallel through ScenarioRunner with
 // reseeding disabled, so every cell keeps the seed version's fixed seed and
-// the printed numbers match the old sequential implementation exactly.
+// the printed numbers match the old sequential implementation exactly. Their
+// full results go to <--manifest-dir>/fig5.results.jsonl.
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -21,7 +22,8 @@
 int main(int argc, char** argv) {
   using namespace econcast;
   // duration = scale * 1e6
-  const long scale = bench::Args(argc, argv).knob(8);
+  const bench::Args args(argc, argv, {"--manifest-dir="});
+  const long scale = args.knob(8);
   bench::banner("Figure 5", "latency CDF / mean / p99 (rho=10uW, L=X=500uW)");
 
   baselines::SearchlightConfig sc;
@@ -59,6 +61,8 @@ int main(int argc, char** argv) {
   const runner::ScenarioRunner pool(
       {/*num_threads=*/0, /*base_seed=*/55, /*reseed=*/false});
   const runner::BatchResult run = pool.run(batch);
+  bench::write_results(bench::manifest_dir(args, "econcast-fig5"), "fig5",
+                       run.results);
 
   std::size_t cell = 0;
   for (const model::Mode mode : modes) {

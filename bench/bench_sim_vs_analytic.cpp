@@ -2,23 +2,71 @@
 // the fully-distributed protocol (adaptive multipliers, starting ignorant at
 // η = 0) matches the analytical achievable point T^σ from (P4) for
 // σ ∈ {0.25, 0.5}, in both modes, and nodes consume at their budgets.
+// Each cell's full result goes to
+// <--manifest-dir>/sim-vs-analytic.results.jsonl.
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "bench_common.h"
 #include "econcast/simulation.h"
 #include "gibbs/p4_solver.h"
 #include "oracle/clique_oracle.h"
+#include "util/json.h"
 #include "util/table.h"
+
+namespace {
+
+using namespace econcast;
+
+// Every result field of one cell. QueueStats is instrumentation, not a
+// result, so it is left out.
+util::json::Value cell_json(const proto::SimResult& r) {
+  using util::json::Array;
+  using util::json::Object;
+  const auto doubles = [](const std::vector<double>& xs) {
+    return util::json::Value(Array(xs.begin(), xs.end()));
+  };
+  const auto count = [](std::uint64_t n) {
+    return util::json::Value(util::json::u64_to_string(n));
+  };
+  Object bursts;
+  bursts.set("count", count(r.burst_lengths.count()))
+      .set("mean", r.burst_lengths.mean())
+      .set("m2", r.burst_lengths.m2())
+      .set("min", r.burst_lengths.min())
+      .set("max", r.burst_lengths.max());
+  Object o;
+  o.set("measured_window", r.measured_window)
+      .set("groupput", r.groupput)
+      .set("anyput", r.anyput)
+      .set("avg_power", doubles(r.avg_power))
+      .set("listen_fraction", doubles(r.listen_fraction))
+      .set("transmit_fraction", doubles(r.transmit_fraction))
+      .set("final_eta", doubles(r.final_eta))
+      .set("burst_lengths", std::move(bursts))
+      .set("latencies", doubles(r.latencies.samples()))
+      .set("packets_sent", count(r.packets_sent))
+      .set("packets_received", count(r.packets_received))
+      .set("bursts", count(r.bursts))
+      .set("corrupted_receptions", count(r.corrupted_receptions))
+      .set("events_processed", count(r.events_processed));
+  return util::json::Value(std::move(o));
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace econcast;
-  const long scale = bench::Args(argc, argv).knob(6);
+  const bench::Args args(argc, argv, {"--manifest-dir="});
+  const long scale = args.knob(6);
   bench::banner("Sim-vs-analytic", "T~^sigma vs T^sigma (N=5, rho=10uW, L=X=500uW)");
 
   const auto nodes = model::homogeneous(5, 10.0, 500.0, 500.0);
   util::Table t({"mode", "sigma", "T^s (P4)", "T~^s (sim)", "sim/analytic",
                  "power uW", "final eta / eta*"});
+  std::vector<util::json::Value> cells;
   for (const model::Mode mode : {model::Mode::kGroupput, model::Mode::kAnyput}) {
     for (const double sigma : {0.25, 0.5}) {
       const auto p4 = gibbs::solve_p4(nodes, mode, sigma);
@@ -32,6 +80,7 @@ int main(int argc, char** argv) {
       cfg.initial_energy = 5e5;  // steady state matches the unbounded model
       proto::Simulation sim(nodes, model::Topology::clique(5), cfg);
       const auto r = sim.run();
+      cells.push_back(cell_json(r));
       const double measured =
           mode == model::Mode::kGroupput ? r.groupput : r.anyput;
       double power = 0.0;
@@ -47,6 +96,8 @@ int main(int argc, char** argv) {
       t.add_cell(r.final_eta[0] / p4.eta[0], 3);
     }
   }
+  bench::write_results(bench::manifest_dir(args, "econcast-sim-vs-analytic"),
+                       "sim-vs-analytic", cells);
   t.print(std::cout, "adaptive protocol vs (P4) prediction");
   std::printf(
       "\npaper: \"simulation results show that T~^sigma perfectly matches\n"

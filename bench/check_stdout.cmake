@@ -5,12 +5,13 @@
 #         [-DMANIFEST_DIR=<dir> -DEXPECTED_RESULTS=<file>]
 #         -P check_stdout.cmake
 #
-# MANIFEST_DIR is passed as --manifest-dir= to the sweep-shaped benches, so
-# that build trees testing at once do not share a directory. The actual
-# stdout stays in ACTUAL for inspection (diff it against EXPECTED).
+# MANIFEST_DIR is passed as --manifest-dir= to the benches that write
+# results files, so that build trees testing at once do not share a
+# directory. The actual stdout stays in ACTUAL for inspection (diff it
+# against EXPECTED).
 #
-# The printed tables round most figures to 4 decimals, so a sweep-shaped
-# bench also pins the SHA-256 of every *.results.jsonl it writes into
+# The printed tables round most figures to 4 decimals, so such a bench
+# also pins the SHA-256 of every *.results.jsonl it writes into
 # MANIFEST_DIR: EXPECTED_RESULTS (bench/expected/<bench>.results.sha256)
 # holds one `sha256sum` line, "<hex>  <file name>", per file. A missing,
 # extra or differing results file fails the check and is named.

@@ -41,10 +41,6 @@ double RateController::sleep_to_listen(double eta,
   return safe_exp(-eta * listen_power_ / sigma_);
 }
 
-double RateController::listen_to_sleep(bool channel_idle) const noexcept {
-  return channel_idle ? 1.0 : 0.0;
-}
-
 double RateController::listen_to_transmit(double eta, double listener_count,
                                           bool channel_idle) const noexcept {
   if (!channel_idle) return 0.0;

@@ -35,7 +35,9 @@ class RateController {
   double sleep_to_listen(double eta, bool channel_idle) const noexcept;
 
   /// λ_ls, eq. (18b): A(t).
-  double listen_to_sleep(bool channel_idle) const noexcept;
+  double listen_to_sleep(bool channel_idle) const noexcept {
+    return channel_idle ? 1.0 : 0.0;
+  }
 
   /// λ_lx, eqs. (18c)/(18d). `listener_count` is the count of *other* active
   /// listeners; it only matters for the non-capture variant.

@@ -24,17 +24,16 @@ MultiplierConfig node_multiplier_config(const SimConfig& cfg,
 
 }  // namespace
 
-Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
+Simulation::Simulation(model::NodeSet nodes, const model::Topology& topology,
                        SimConfig config)
     : nodes_(std::move(nodes)),
-      topo_(std::move(topology)),
       config_(std::move(config)),
       estimator_(config_.estimator),
       rng_(config_.seed, util::Rng::kDefaultBlock),
-      channel_(topo_),
+      channel_(topology),
       metrics_(nodes_.size()) {
   model::validate(nodes_);
-  if (nodes_.size() != topo_.size())
+  if (nodes_.size() != topology.size())
     throw std::invalid_argument("nodes/topology size mismatch");
   if (!(config_.sigma > 0.0))
     throw std::invalid_argument("sigma must be positive");
@@ -43,7 +42,7 @@ Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
   if (!config_.eta_init.empty() && config_.eta_init.size() != nodes_.size())
     throw std::invalid_argument("eta_init size mismatch");
   if (config_.track_state_occupancy &&
-      (!topo_.is_clique() || nodes_.size() > 16))
+      (!topology.is_clique() || nodes_.size() > 16))
     throw std::invalid_argument(
         "state occupancy tracking requires a clique with N <= 16");
 
@@ -73,7 +72,7 @@ Simulation::Simulation(model::NodeSet nodes, model::Topology topology,
   // the same variant and mode, so one width fits every row.
   std::size_t max_degree = 0;
   for (std::size_t i = 0; i < n; ++i)
-    max_degree = std::max(max_degree, topo_.neighbors(i).size());
+    max_degree = std::max(max_degree, topology.degree(i));
   tx_rate_width_ = rates_.front().listen_to_transmit_width(max_degree);
   tx_rate_.assign(n * tx_rate_width_, 0.0);  // rows filled by refresh_eta
 
@@ -180,10 +179,11 @@ void Simulation::schedule_transition(NodeId i) {
   // slot the new state leaves unused is cancelled — first, so that
   // peak_live never counts an event that is about to go. An event later
   // than the pending boundary would be re-sampled there before it could
-  // pop, so its slot is cancelled too; the exponential is still drawn,
-  // which keeps the RNG stream. A draw exactly at the boundary is kept; it
-  // was entered after the boundary, so the boundary pops first and
-  // re-samples it (see run()).
+  // pop, so its slot is cancelled too; the exponential's uniform is still
+  // drawn, which keeps the RNG stream, but a uniform that alone proves the
+  // draw past the boundary skips the logarithm (Rng::exponential_until). A
+  // draw exactly at the boundary is kept; it was entered after the
+  // boundary, so the boundary pops first and re-samples it (see run()).
   const bool idle = !channel_.busy_at(i);
   std::optional<double> guard_at;  // when to fire kEnergyDepleted, if armed
   double rate = 0.0;
@@ -224,10 +224,8 @@ void Simulation::schedule_transition(NodeId i) {
   if (guard_at && *guard_at > interval_end_) guard_at.reset();
   // rate <= 0: gated, waiting for a channel/interval wake-up.
   std::optional<double> transition_at;
-  if (rate > 0.0) {
-    const double t = now_ + rng_.exponential(rate);
-    if (t <= interval_end_) transition_at = t;
-  }
+  if (rate > 0.0)
+    transition_at = rng_.exponential_until(now_, rate, interval_end_);
   if (!guard_at) queue_.cancel(i, EventKind::kEnergyDepleted);
   if (!transition_at) queue_.cancel(i, EventKind::kTransition);
   if (guard_at) queue_.schedule(*guard_at, EventKind::kEnergyDepleted, i);
@@ -247,9 +245,8 @@ void Simulation::resample_listening_neighbors_nc(NodeId i) {
   if (config_.variant != Variant::kNonCapture) return;
   // λ_lx of eq. (18d) depends on the other-listener count, so listening
   // neighbors must re-sample when node i joins/leaves the listener pool.
-  for (const std::size_t j : topo_.neighbors(i)) {
-    if (state_[j] == NodeState::kListen)
-      schedule_transition(static_cast<NodeId>(j));
+  for (const NodeId j : channel_.neighbors(i)) {
+    if (state_[j] == NodeState::kListen) schedule_transition(j);
   }
 }
 

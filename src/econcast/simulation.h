@@ -24,7 +24,14 @@
 // could therefore never pop. Such an event is drawn (the RNG stream is
 // unchanged) but never enters the queue. In a clique that covers most of
 // the N - 1 re-samples each carrier toggle triggers; the events that do
-// enter keep their relative order, so every result bit is unchanged.
+// enter keep their relative order, so every result bit is unchanged. Most
+// of those draws are decided from their uniform alone, without the
+// logarithm (util::Rng::exponential_until), with the exact draw's decision.
+//
+// The simulation reads the topology only in its constructor: the channel
+// keeps the flat adjacency rows it and the non-capture re-samples walk, and
+// a packet's lock and unlock loops visit only its burst's audience (the
+// neighbours listening when the burst began; see sim::Channel).
 #ifndef ECONCAST_ECONCAST_SIMULATION_H
 #define ECONCAST_ECONCAST_SIMULATION_H
 
@@ -125,11 +132,9 @@ struct SimResult {
 
 class Simulation {
  public:
-  Simulation(model::NodeSet nodes, model::Topology topology, SimConfig config);
-  // channel_ refers to topo_: a copy or a move would leave it reading the
-  // source's topology.
-  Simulation(const Simulation&) = delete;
-  Simulation& operator=(const Simulation&) = delete;
+  /// Reads `topology` only here: the channel keeps the adjacency it needs.
+  Simulation(model::NodeSet nodes, const model::Topology& topology,
+             SimConfig config);
 
   /// Runs to config.duration and collects results. Call once.
   SimResult run();
@@ -191,7 +196,6 @@ class Simulation {
   void occupancy_apply_state(sim::NodeId i, NodeState next);
 
   model::NodeSet nodes_;
-  model::Topology topo_;
   SimConfig config_;
   std::vector<RateController> rates_;  // per node (heterogeneous powers)
   ListenerEstimator estimator_;

@@ -30,11 +30,6 @@ void EnergyLedger::set_draw(std::size_t i, double draw, double now) noexcept {
   draw_[i] = draw;
 }
 
-double EnergyLedger::level(std::size_t i, double now) const noexcept {
-  const double dt = now - last_[i];
-  return level_[i] + (harvest_[i] - draw_[i]) * dt;
-}
-
 double EnergyLedger::consumed(std::size_t i, double now) const noexcept {
   const double dt = now - last_[i];
   return consumed_[i] + (dt > 0.0 ? draw_[i] * dt : 0.0);

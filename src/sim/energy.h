@@ -26,7 +26,10 @@ class EnergyLedger {
   void set_draw(std::size_t i, double draw, double now) noexcept;
 
   /// Storage level at `now` (>= last settle point).
-  double level(std::size_t i, double now) const noexcept;
+  double level(std::size_t i, double now) const noexcept {
+    const double dt = now - last_[i];
+    return level_[i] + (harvest_[i] - draw_[i]) * dt;
+  }
 
   /// Total energy consumed (integral of draw) up to `now`.
   double consumed(std::size_t i, double now) const noexcept;

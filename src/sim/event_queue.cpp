@@ -105,9 +105,7 @@ void EventQueue::schedule(double time, EventKind kind, NodeId node) {
   note_push();
 }
 
-void EventQueue::cancel(NodeId node, EventKind kind) {
-  const std::size_t s = slot_index(node, kind);
-  if (s >= position_.size() || position_[s] == kNoPosition) return;
+void EventQueue::cancel_slot(std::size_t s) {
   const std::size_t i = position_[s];
   position_[s] = kNoPosition;
   ++stats_.cancels;

@@ -113,7 +113,12 @@ class EventQueue {
   void schedule(double time, EventKind kind, NodeId node);
 
   /// Removes the live scheduled event for (node, kind), if any. O(log n).
-  void cancel(NodeId node, EventKind kind);
+  /// Most of EconCast's cancels find the slot empty, so that test is
+  /// inline and only a removal makes a call.
+  void cancel(NodeId node, EventKind kind) {
+    const std::size_t s = slot_index(node, kind);
+    if (s < position_.size() && position_[s] != kNoPosition) cancel_slot(s);
+  }
 
   bool empty() const noexcept { return size() == 0; }
   /// The earliest event; the reference stays valid until the next mutating
@@ -158,6 +163,8 @@ class EventQueue {
   void settle(std::size_t i, const Event& e);
   /// Removes the entry at heap index `i`.
   void remove_at(std::size_t i);
+  /// Removes the live event of slot `s`.
+  void cancel_slot(std::size_t s);
   /// The index of the lane whose front is the earliest event, or
   /// kEventKindCount when the heap top is (or every lane is empty).
   std::size_t earliest_lane() const noexcept;

@@ -1,6 +1,5 @@
 #include "util/random.h"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -71,13 +70,10 @@ void Rng::refill() {
   fill_ = block_;
 }
 
-double Rng::exponential(double rate) {
-  if (!(rate > 0.0) || !std::isfinite(rate))
-    throw std::invalid_argument("exponential rate must be positive and "
-                                "finite, got " +
-                                std::to_string(rate));
-  // 1 - uniform() is in (0, 1], so the log argument is never zero.
-  return -std::log(1.0 - uniform()) / rate;
+void Rng::throw_bad_rate(double rate) {
+  throw std::invalid_argument("exponential rate must be positive and "
+                              "finite, got " +
+                              std::to_string(rate));
 }
 
 std::uint64_t Rng::uniform_int(std::uint64_t n) {

@@ -8,8 +8,11 @@
 #ifndef ECONCAST_UTIL_RANDOM_H
 #define ECONCAST_UTIL_RANDOM_H
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <vector>
 
 namespace econcast::util {
@@ -81,7 +84,38 @@ class Rng {
   /// std::invalid_argument (naming the value) unless rate is positive and
   /// finite — a non-positive or NaN rate would silently return a negative,
   /// infinite or NaN sojourn time and corrupt every event after it.
-  double exponential(double rate);
+  double exponential(double rate) {
+    if (!(rate > 0.0) || !std::isfinite(rate)) throw_bad_rate(rate);
+    return sojourn(uniform(), rate);
+  }
+
+  /// The arrival time now + exponential(rate) when it is at most `limit`,
+  /// else std::nullopt: bit for bit the decision and the time of that
+  /// expression, from the same one uniform and with the same rate check.
+  std::optional<double> exponential_until(double now, double rate,
+                                          double limit) {
+    if (!(rate > 0.0) || !std::isfinite(rate)) throw_bad_rate(rate);
+    return arrival_until(uniform(), now, rate, limit);
+  }
+
+  /// exponential_until on a given uniform u in [0, 1) and a positive,
+  /// finite rate. Since -log(1 - u) >= u, u > rate · (limit - now + margin)
+  /// proves the arrival later than `limit` without the logarithm and the
+  /// division. The margin, 2^-40 of |limit - now| + |limit| plus the
+  /// smallest normal double, is far above the rounding of the logarithm,
+  /// the division and the sum, so the shortcut never refuses an arrival
+  /// the exact expression keeps; every other u takes that expression.
+  static std::optional<double> arrival_until(double u, double now,
+                                             double rate,
+                                             double limit) noexcept {
+    const double span = limit - now;
+    const double margin = (std::abs(span) + std::abs(limit)) * 0x1.0p-40 +
+                          std::numeric_limits<double>::min();
+    if (u > rate * (span + margin)) return std::nullopt;
+    const double t = now + sojourn(u, rate);
+    if (t <= limit) return t;
+    return std::nullopt;
+  }
 
   /// True with probability p (clamped to [0, 1]).
   bool bernoulli(double p) { return uniform() < p; }
@@ -111,6 +145,12 @@ class Rng {
     return static_cast<double>(bits >> 11) * 0x1.0p-53;
   }
 
+  /// The exponential sojourn of uniform u: 1 - u is in (0, 1], so the log
+  /// argument is never zero.
+  static double sojourn(double u, double rate) noexcept {
+    return -std::log(1.0 - u) / rate;
+  }
+
   /// The next raw generator output in stream order (buffered in block
   /// mode, so raw-bit draws stay aligned with the uniform() stream).
   std::uint64_t next_bits() {
@@ -120,6 +160,8 @@ class Rng {
   }
 
   void refill();
+  /// Throws the std::invalid_argument of a rejected exponential rate.
+  [[noreturn]] static void throw_bad_rate(double rate);
 
   Xoshiro256 gen_;
   std::size_t block_ = 0;            // 0: unbuffered scalar path

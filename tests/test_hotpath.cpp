@@ -1,8 +1,8 @@
-// Tests for the simulation hot path: the incremental listener counts
-// (randomized differential test against an O(degree) scan written here) and
-// the channel's reused scratch buffers, the memoized rate rows
-// (bit-identical to the per-call rate expressions, full-width and
-// narrowed), and the estimator validation sweep.
+// Tests for the simulation hot path: the incremental listener counts and
+// the audience-walk packet outcomes (randomized differential test against
+// all-neighbour scans written here), the channel's reused scratch buffers,
+// the memoized rate rows (bit-identical to the per-call rate expressions,
+// full-width and narrowed), and the estimator validation sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,18 +36,86 @@ int scan_listening_neighbors(const model::Topology& topo, const Channel& ch,
   return count;
 }
 
-// Drives a random listen/burst/packet schedule through a channel and checks
-// the incremental listener counts against the scan after every mutation.
+/// The oracle for the channel's packet outcomes: the locking and corruption
+/// rules with every packet scanning the transmitter's whole neighbour row,
+/// not the burst's audience.
+class ScanChannel {
+ public:
+  explicit ScanChannel(const model::Topology& topo)
+      : topo_(topo),
+        listening_(topo.size(), false),
+        busy_(topo.size(), 0),
+        lock_(topo.size(), kNoNode),
+        corrupt_(topo.size(), false) {}
+
+  void set_listening(NodeId i, bool on) {
+    listening_[i] = on;
+    if (!on) {
+      lock_[i] = kNoNode;
+      corrupt_[i] = false;
+    }
+  }
+  void begin_burst(NodeId tx) {
+    listening_[tx] = false;
+    for (const std::size_t j : topo_.neighbors(tx))
+      if (++busy_[j] >= 2 && lock_[j] != kNoNode) corrupt_[j] = true;
+  }
+  void begin_packet(NodeId tx) {
+    for (const std::size_t j : topo_.neighbors(tx)) {
+      if (listening_[j] && busy_[j] == 1 && lock_[j] == kNoNode) {
+        lock_[j] = tx;
+        corrupt_[j] = false;
+      }
+    }
+  }
+  Channel::PacketOutcome end_packet(NodeId tx) {
+    Channel::PacketOutcome out;
+    for (const std::size_t j : topo_.neighbors(tx)) {
+      if (lock_[j] != tx) continue;
+      if (corrupt_[j]) {
+        ++out.corrupted;
+      } else {
+        out.clean_receivers.push_back(static_cast<NodeId>(j));
+      }
+      lock_[j] = kNoNode;
+      corrupt_[j] = false;
+    }
+    return out;
+  }
+  void end_burst(NodeId tx) {
+    for (const std::size_t j : topo_.neighbors(tx)) --busy_[j];
+  }
+
+ private:
+  const model::Topology& topo_;
+  std::vector<bool> listening_;
+  std::vector<int> busy_;
+  std::vector<NodeId> lock_;
+  std::vector<bool> corrupt_;
+};
+
+// Drives a random schedule of listen changes and overlapping multi-packet
+// bursts through a channel: listeners join only while the medium is idle
+// and leave at any time, mid-packet included. After every mutation the
+// incremental listener counts must match the scan, and every packet
+// outcome (the clean receivers, in order, and the corrupted count) must
+// match the all-neighbour oracle.
 TEST(ChannelDifferential, RandomScheduleMatchesScan) {
   util::Rng topo_rng(7);
+  std::uint64_t packets = 0, received = 0, corrupted = 0;
+  std::uint64_t overlaps = 0, left_busy = 0, later_packets = 0;
   for (int round = 0; round < 6; ++round) {
     const std::size_t n = 6 + static_cast<std::size_t>(round) * 5;
     const auto topo = model::Topology::random_gnp(n, 0.3, topo_rng);
 
     Channel ch(topo);
+    ScanChannel oracle(topo);
     util::Rng rng(1000 + static_cast<std::uint64_t>(round));
-    NodeId tx_active = kNoNode;
-    bool packet_open = false;
+    std::vector<bool> packet_open(n, false);
+    std::vector<int> burst_packets(n, 0);
+    const auto pick = [&] {
+      return static_cast<NodeId>(rng.uniform() * static_cast<double>(n));
+    };
 
     auto check_all = [&] {
       for (NodeId i = 0; i < n; ++i)
@@ -56,38 +124,72 @@ TEST(ChannelDifferential, RandomScheduleMatchesScan) {
             << "node " << i;
     };
 
-    for (int step = 0; step < 2000; ++step) {
+    std::vector<NodeId> active;  // transmitters, in burst-start order
+    for (int step = 0; step < 4000; ++step) {
       const double u = rng.uniform();
-      if (u < 0.55) {
-        // Toggle a random node's listen state, respecting the channel's
-        // preconditions (idle medium, not the transmitter).
-        const auto i = static_cast<NodeId>(rng.uniform() *
-                                           static_cast<double>(n));
-        if (i == tx_active || ch.busy_at(i) || ch.is_transmitting(i))
+      if (u < 0.35) {
+        // Join only on an idle medium; leave at any time.
+        const NodeId i = pick();
+        if (ch.is_transmitting(i)) continue;
+        if (ch.is_listening(i)) {
+          if (ch.busy_at(i)) ++left_busy;
+          ch.set_listening(i, false);
+          oracle.set_listening(i, false);
+        } else if (!ch.busy_at(i)) {
+          ch.set_listening(i, true);
+          oracle.set_listening(i, true);
+        }
+      } else if (u < 0.45) {
+        // Up to three bursts at once; on G(n, 0.3) they often share
+        // receivers (hidden terminals).
+        const NodeId i = pick();
+        if (active.size() >= 3 || ch.is_transmitting(i) || ch.busy_at(i))
           continue;
-        ch.set_listening(i, !ch.is_listening(i));
-      } else if (u < 0.75 && tx_active == kNoNode) {
-        const auto i = static_cast<NodeId>(rng.uniform() *
-                                           static_cast<double>(n));
-        if (ch.busy_at(i) || ch.is_listening(i)) continue;
+        if (!active.empty()) ++overlaps;
         ch.begin_burst(i);
-        tx_active = i;
-      } else if (u < 0.85 && tx_active != kNoNode && !packet_open) {
-        ch.begin_packet(tx_active);
-        packet_open = true;
-      } else if (u < 0.95 && packet_open) {
-        const Channel::PacketOutcome& outcome = ch.end_packet(tx_active);
-        for (const NodeId j : outcome.clean_receivers)
-          ASSERT_TRUE(ch.is_listening(j)) << "receiver " << j;
-        packet_open = false;
-      } else if (tx_active != kNoNode && !packet_open) {
-        ch.end_burst(tx_active);
-        tx_active = kNoNode;
+        oracle.begin_burst(i);
+        active.push_back(i);
+        burst_packets[i] = 0;
+      } else {
+        if (active.empty()) continue;
+        const std::size_t k = static_cast<std::size_t>(
+            rng.uniform() * static_cast<double>(active.size()));
+        const NodeId i = active[k];
+        if (packet_open[i]) {
+          const Channel::PacketOutcome& outcome = ch.end_packet(i);
+          const Channel::PacketOutcome expected = oracle.end_packet(i);
+          ASSERT_EQ(outcome.clean_receivers, expected.clean_receivers)
+              << "round " << round << " step " << step << " tx " << i;
+          ASSERT_EQ(outcome.corrupted, expected.corrupted)
+              << "round " << round << " step " << step << " tx " << i;
+          for (const NodeId j : outcome.clean_receivers)
+            ASSERT_TRUE(ch.is_listening(j)) << "receiver " << j;
+          packet_open[i] = false;
+          ++packets;
+          received += outcome.clean_receivers.size();
+          corrupted += outcome.corrupted;
+        } else if (burst_packets[i] > 0 && rng.uniform() < 0.25) {
+          ch.end_burst(i);
+          oracle.end_burst(i);
+          active.erase(active.begin() + static_cast<std::ptrdiff_t>(k));
+        } else {
+          if (burst_packets[i]++ > 0) ++later_packets;
+          ch.begin_packet(i);
+          oracle.begin_packet(i);
+          packet_open[i] = true;
+        }
       }
       check_all();
       if (rng.uniform() < 0.1) (void)ch.drain_toggled();
     }
   }
+  // The schedule must reach the cases it is written for.
+  EXPECT_GT(packets, 1000u);
+  EXPECT_GT(received, 500u);
+  EXPECT_GT(corrupted, 20u);
+  EXPECT_GT(overlaps, 100u);
+  EXPECT_GT(left_busy, 100u);
+  EXPECT_GT(later_packets, 500u);
 }
 
 TEST(ChannelDifferential, ScratchBuffersAreReusedNotReallocated) {

@@ -197,6 +197,25 @@ TEST(Channel, TransmitterCannotListen) {
   ch.end_burst(0);
 }
 
+TEST(Channel, BusyNodeCannotStartListening) {
+  // A packet walks only the listeners its burst began with, which is exact
+  // only if nobody who senses carrier can join them.
+  const auto topo = model::Topology::line(3);  // 0-1-2
+  Channel ch(topo);
+  ch.set_listening(2, true);
+  ch.begin_burst(0);
+  EXPECT_THROW(ch.set_listening(1, true), std::logic_error);
+  EXPECT_FALSE(ch.is_listening(1));
+  EXPECT_EQ(ch.listening_neighbors(0), 0);
+  EXPECT_EQ(ch.listening_neighbors(2), 0);
+  // Leaving listen stays legal while busy, and a node out of range may
+  // still join.
+  EXPECT_NO_THROW(ch.set_listening(1, false));
+  ch.end_burst(0);
+  EXPECT_NO_THROW(ch.set_listening(1, true));
+  EXPECT_EQ(ch.listening_neighbors(2), 1);
+}
+
 // ---------------------------------------------------------------- metrics --
 
 TEST(Metrics, ThroughputIntegration) {
